@@ -105,6 +105,21 @@ def search_oracle_quintic(q):
     raise SystemExit(f"no squarefree quintic over F_{q}")
 
 
+def search_group_shape(q, degree, factors):
+    """First squarefree monic f over F_q whose Pic^0 has the given invariant
+    factors, for the equal-order, different-shape oracle fixtures."""
+    field = field_create(q, 1)
+    for f in monic_candidates(field, degree):
+        curve = validated(field, f)
+        if curve is None:
+            continue
+        structure = jacobian_group(curve)
+        if structure.invariant_factors == factors:
+            return emit(f"group {factors} deg={degree} q={q}", field, curve,
+                        l_polynomial(curve))
+    raise SystemExit(f"no degree-{degree} curve over F_{q} with group {factors}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--all", action="store_true",
@@ -120,6 +135,9 @@ def main(argv=None) -> int:
     # genus-2 oracle fixtures
     for q in (3, 5, 7):
         search_oracle_quintic(q)
+    # h = 9 over F_7 both ways: a repeated odd prime in the oracle's factors
+    search_group_shape(7, 3, (3, 3))
+    search_group_shape(7, 3, (9,))
     return 0
 
 

@@ -15,6 +15,8 @@ h(x)^(-2) = (h(x)^2)^(Q-2).
 
 from __future__ import annotations
 
+from .errors import CurveClassError
+
 BACKEND = "pure-python"
 
 
@@ -123,7 +125,8 @@ def affine_count(p: int, d: int, modulus, fcoeffs, hcoeffs) -> int:
             cur = _mul(cur, cur, p, d, red)
             for t in range(d):
                 acc[t] ^= cur[t]
-        assert not any(acc[1:])
+        if any(acc[1:]):
+            raise CurveClassError("internal: trace did not land in the prime field")
         tr.append(acc[0])
     x = [0] * d
     for _ in range(Q):

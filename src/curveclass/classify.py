@@ -192,11 +192,19 @@ def _blank_invariants(curve: Curve) -> dict:
     }
 
 
-def _oracle_s(curve: Curve, p: int):
+def _oracle_s(curve: Curve, p: int, h: int | None):
+    """s from the Jacobian oracle, or None where it does not run.
+
+    h is the class number L(1) from the zeta layer (None when that layer hit
+    the budget); the oracle's group order must agree with it.
+    """
     try:
-        return p_torsion_dim(jacobian_group(curve), p)
+        structure = jacobian_group(curve)
     except (OracleUnsupportedModel, BudgetExceeded):
         return None
+    if h is not None and structure.order != h:
+        raise CurveClassError("internal: oracle order disagrees with L(1)")
+    return p_torsion_dim(structure, p)
 
 
 def classify(instance: MarkedInstance, budget: int | None = None) -> ClassificationReport:
@@ -238,7 +246,7 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
             inv["pic_p_nontrivial"] = lp.class_number % p == 0
         except BudgetExceeded:
             pass
-        s = _oracle_s(curve, p)
+        s = _oracle_s(curve, p, inv["h"])
         if s is not None:
             inv["s"] = s
             euler = euler_bookkeeping(s, 0, 1 + s)
@@ -286,7 +294,7 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
         )
     result = ihara_sum_exceeds(degrees, curve.field.q, curve.genus)
     inv["ihara"] = result.to_json()
-    s = _oracle_s(curve, p)
+    s = _oracle_s(curve, p, inv["h"])
     if s is not None:
         inv["s"] = s
     if result.exceeds:
@@ -340,7 +348,7 @@ def _classify_prime_to_char(curve, S_pts, T_pts, p, cap) -> ClassificationReport
     if pic is False:
         inv["s"] = 0
     elif pic:
-        s = _oracle_s(curve, p)
+        s = _oracle_s(curve, p, inv["h"])
         if s is not None:
             inv["s"] = s
     if not mu or pic:

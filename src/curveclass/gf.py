@@ -119,7 +119,8 @@ def necklace_count(q: int, d: int) -> int:
     for e in range(1, d + 1):
         if d % e == 0:
             total += mobius(d // e) * q**e
-    assert total % d == 0
+    if total % d:
+        raise CurveClassError("internal: necklace sum not divisible by the degree")
     return total // d
 
 
@@ -400,7 +401,8 @@ class Field:
             acc = self.add_idx(acc, cur)
             cur = self.pow_idx(cur, self.p)
         digs = self.digits(acc)
-        assert all(c == 0 for c in digs[1:])
+        if any(digs[1:]):
+            raise CurveClassError("internal: trace did not land in the prime field")
         return digs[0]
 
     def is_square_idx(self, a: int) -> bool:

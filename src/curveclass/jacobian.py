@@ -5,11 +5,15 @@ as reduced Mumford pairs (u, v) with u monic of degree <= g, deg v < deg u
 and u | v^2 - f, and the group law is Cantor composition plus reduction.
 Supported models: the projective line (trivial group) and odd-characteristic
 double covers y^2 = f with deg f = 2g + 1 (one point at infinity).  The
-group structure is read off from exact l-power torsion counts.
+group structure is read off from exact l-power torsion counts: for each
+prime l | N = #Pic^0, the map x -> l*x is tabulated over the enumerated set
+(one scalar multiplication per element), and #Pic^0[l^j] for j <= v_l(N)
+is counted by walking that table, with no further compositions.
 
 Every run re-verifies the group axioms on the enumerated set: identity and
 inverses on all elements, plus seeded random closure and associativity
-checks.
+checks.  The torsion step adds closure under x -> l*x on every element and
+checks that each l-Sylow subgroup has exactly l^{v_l(N)} elements.
 """
 
 from __future__ import annotations
@@ -173,21 +177,24 @@ def _invariant_factors(elements, f: Poly, g: int, identity) -> tuple[int, ...]:
         while n % l == 0:
             n //= l
             a += 1
-        cofactor = N // l**a
-        # multiplication by the cofactor projects onto the l-Sylow subgroup,
-        # hitting each Sylow element exactly cofactor times
+        # one composition chain per element builds x -> l*x; the l-power
+        # torsion is then read off by walking the map, not by composing
+        times_l = {x: _scalar(l, x, f, g, identity) for x in elements}
+        if any(y not in times_l for y in times_l.values()):
+            raise CurveClassError("internal: composition left the divisor set")
+        # counts[j] = number of elements of order exactly l^j
         counts = [0] * (a + 1)
         for x in elements:
-            y = _scalar(cofactor, x, f, g, identity)
-            j = 0
-            while y != identity:
-                y = _scalar(l, y, f, g, identity)
-                j += 1
-            counts[j] += 1
-        if counts[0] != cofactor:
-            raise CurveClassError("internal: Sylow projection miscount")
-        # running sums are cofactor * #Syl[l^j]; successive ratios l^{d_j}
-        # give d_j = number of cyclic l-components with exponent >= j
+            y = x
+            for j in range(a + 1):
+                if y == identity:
+                    counts[j] += 1
+                    break
+                y = times_l[y]
+        if counts[0] != 1:
+            raise CurveClassError("internal: identity must be the only 0-torsion element")
+        # running sums are #G[l^j]; successive ratios l^{d_j} give
+        # d_j = number of cyclic l-components with exponent >= j
         profile = []
         prev = counts[0]
         running = counts[0]
@@ -204,8 +211,8 @@ def _invariant_factors(elements, f: Poly, g: int, identity) -> tuple[int, ...]:
                 d += 1
             profile.append(d)
             prev = running
-        if running != N:
-            raise CurveClassError("internal: torsion counts must exhaust the group")
+        if running != l**a:
+            raise CurveClassError("internal: l-Sylow subgroup must have l^a elements")
         if any(profile[i] < profile[i + 1] for i in range(len(profile) - 1)):
             raise CurveClassError("internal: exponent profile must be non-increasing")
         # the conjugate partition of the profile is the exponent multiset

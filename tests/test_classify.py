@@ -18,7 +18,8 @@ from curveclass import (
     mu_p_in_field,
     resolve_point_ids,
 )
-from curveclass.errors import CurveClassError
+from curveclass.errors import BudgetExceeded, CurveClassError
+from curveclass.jacobian import AbelianGroupStructure
 from util import E_H3_F3, E_H6_F3, E_Z4_F3, G2_X5PX, build
 
 
@@ -137,6 +138,31 @@ def test_case2_oracle_out_of_reach():
     assert rep.invariants["h"] == 4
     assert rep.invariants["s"] == "unknown"
     assert rep.euler is None
+
+
+def test_oracle_order_checked_against_class_number(monkeypatch):
+    # a wrong oracle order is an internal error whenever L(1) is known ...
+    real = classify_mod.jacobian_group
+
+    def off_by_one(curve, budget=None):
+        s = real(curve, budget)
+        return AbelianGroupStructure(order=s.order + 1, invariant_factors=s.invariant_factors)
+
+    monkeypatch.setattr(classify_mod, "jacobian_group", off_by_one)
+    with pytest.raises(CurveClassError, match="disagrees with L"):
+        run(build(3, f=list(E_Z4_F3)), 3)
+    with pytest.raises(CurveClassError, match="disagrees with L"):
+        run(build(3, f=list(G2_X5PX)), 2)  # case 6: mu_2 in F_3 and 2 | h
+
+    # ... and skipped when the zeta layer hit the budget
+    def over_budget(*a, **k):
+        raise BudgetExceeded("zeta over budget")
+
+    monkeypatch.setattr(classify_mod, "l_polynomial", over_budget)
+    rep = run(build(3, f=list(E_Z4_F3)), 3)
+    assert rep.case == 2
+    assert rep.invariants["h"] is None
+    assert rep.invariants["s"] == 0
 
 
 def test_case3_single_tame_point_true():

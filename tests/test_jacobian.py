@@ -1,13 +1,28 @@
+import math
+import random
+
 import pytest
 
 from curveclass import (
     BudgetExceeded,
+    CurveClassError,
     OracleUnsupportedModel,
     jacobian_group,
     l_polynomial,
 )
+from curveclass import jacobian as jacobian_mod
+from curveclass.gf import prime_factors
 from curveclass.jacobian import p_torsion_dim
-from util import E_H3_F3, E_H6_F3, E_V4_F3, E_Z4_F3, G2_X5PX, build
+from util import (
+    E_33_F7,
+    E_9_F7,
+    E_H3_F3,
+    E_H6_F3,
+    E_V4_F3,
+    E_Z4_F3,
+    G2_X5PX,
+    build,
+)
 
 
 def test_projective_line_trivial():
@@ -23,6 +38,61 @@ def test_distinguishes_equal_order_groups():
     assert z4.order == v4.order == 4
     assert z4.invariant_factors == (4,)
     assert v4.invariant_factors == (2, 2)
+    # the same with a repeated odd prime
+    z9 = jacobian_group(build(7, f=E_9_F7))
+    v9 = jacobian_group(build(7, f=E_33_F7))
+    assert z9.order == v9.order == 9
+    assert z9.invariant_factors == (9,)
+    assert v9.invariant_factors == (3, 3)
+
+
+def _random_odd_degree_curve(rng, p, m, g):
+    q = p**m
+    while True:
+        f = [rng.randrange(q) for _ in range(2 * g + 1)] + [1]
+        try:
+            return build(p, m, f=f)
+        except CurveClassError:
+            continue  # f not squarefree
+
+
+def test_torsion_counts_match_factors_on_random_curves():
+    # every l^j-torsion count, recounted by brute force, must agree with the
+    # returned invariant factors: #G[n] = prod gcd(n, d_i)
+    rng = random.Random(0x7025)
+    shapes = [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1), (5, 1, 2),
+              (7, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2)]
+    for p, m, g in shapes * 4:
+        c = _random_odd_degree_curve(rng, p, m, g)
+        s = jacobian_group(c)
+        assert s.order == l_polynomial(c).class_number, (p, m, g)
+        f = c.model.f
+        elements = jacobian_mod._mumford_elements(f, g)
+        identity = elements[0]
+        for l in prime_factors(s.order):
+            n = l
+            while s.order % n == 0:
+                killed = sum(
+                    1 for x in elements
+                    if jacobian_mod._scalar(n, x, f, g, identity) == identity
+                )
+                want = math.prod(math.gcd(n, d) for d in s.invariant_factors)
+                assert killed == want, (p, m, g, s.invariant_factors, n)
+                n *= l
+
+
+def test_multiplication_leaving_the_set_is_an_error(monkeypatch):
+    real = jacobian_mod._scalar
+
+    def leaky(n, D, f, g, identity):
+        y = real(n, D, f, g, identity)
+        if y != identity:
+            return (y[0], y[0])  # deg v = deg u: not a reduced Mumford pair
+        return y
+
+    monkeypatch.setattr(jacobian_mod, "_scalar", leaky)
+    with pytest.raises(CurveClassError, match="left the divisor set"):
+        jacobian_group(build(3, f=E_Z4_F3))
 
 
 def test_pinned_elliptic_structures():

@@ -22,6 +22,8 @@ def build(p, m=1, f=None, h=None, modulus=None):
 E_H3_F3 = (1, 2, 1, 1)        # x^3+x^2+2x+1 over F_3: L = 1 - u + 3u^2, h = 3
 E_H6_F3 = (0, 2, 1, 1)        # x^3+x^2+2x over F_3: h = 6
 G2_X5PX = (0, 1, 0, 0, 0, 1)  # y^2 = x^5+x: h = 12/36/64 over F_3/F_5/F_7
+E_33_F7 = (1, 3, 4, 1)        # x^3+4x^2+3x+1 over F_7: h = 9, class group Z/3 x Z/3
+E_9_F7 = (1, 1, 3, 1)         # x^3+3x^2+x+1 over F_7: h = 9, class group Z/9
 
 # hand-checked elliptic fixtures
 E_Z4_F3 = (0, 1, 0, 1)        # y^2 = x^3+x over F_3: h = 4, class group Z/4
