@@ -13,6 +13,11 @@ genus comes from the ramification of the degree-2 cover: the function
 u = f/h^2 is reduced at each pole by substitutions u -> u + w^2 + w until the
 pole order is odd (ramified, conductor exponent m_P + 1) or the pole is gone
 (unramified).
+
+Point counts over F_q run in F_q itself; over F_{q^n}, n > 1, they run in
+F_{q^n} built over its primitive modulus, with the coefficients of f and h
+embedded.  ``affine_count`` walks that field's exp/log tables, which are
+built by the first count and cached with the field.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .gf import (
     irreducibles,
     poly_factor,
     poly_gcd,
+    primitive_modulus,
     squarefree,
     x_poly,
 )
@@ -353,26 +359,29 @@ _EXT_CACHE: dict = {}
 
 
 def _extension(field: Field, n: int):
-    """F_{q^n} plus an embedding of F_q element indices into it."""
+    """F_{q^n} with its exp/log tables, plus an embedding of F_q element indices.
+
+    For n > 1 the extension is built over its primitive modulus, so the
+    tables come from shifting digits; a count does not depend on which
+    model of F_{q^n} it runs in.
+    """
     key = (field.p, field.modulus, n)
     hit = _EXT_CACHE.get(key)
     if hit is not None:
         return hit
     if n == 1:
         big = field
+    else:
+        deg = field.m * n
+        big = field_create(field.p, deg, primitive_modulus(field.p, deg))
+    big.tables()
+    if n == 1 or field.m == 1:
 
         def emb(idx: int) -> int:
-            return idx
-
-    elif field.m == 1:
-        big = field_create(field.p, n)
-
-        def emb(idx: int) -> int:
-            # prime-field constants keep their index in the extension
+            # the field itself, or prime-field constants, which keep their index
             return idx
 
     else:
-        big = field_create(field.p, field.m * n)
         mod_poly = Poly(big, field.modulus)
         roots = []
         for fac, _mult in poly_factor(mod_poly):
@@ -393,7 +402,12 @@ def _extension(field: Field, n: int):
 
 
 def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
-    """Number of points of the smooth projective model over F_{q^n}."""
+    """Number of points of the smooth projective model over F_{q^n}.
+
+    The affine part is counted by ``affine_count`` on the exp/log tables of
+    F_{q^n}, which are built here on the first count over each extension;
+    the budget check bounds their size, 16 bytes per element.
+    """
     if n < 1:
         raise CurveClassError("extension degree must be >= 1")
     field = curve.field
@@ -404,10 +418,9 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     if isinstance(curve.model, ProjectiveLine):
         return field.q**n + 1
     big, emb = _extension(field, n)
-    fco = [list(big.digits(emb(c))) for c in curve.model.f.coeffs]
-    hco = [list(big.digits(emb(c))) for c in curve.model.h.coeffs]
-    affine = affine_count(big.p, big.m, list(big.modulus), fco, hco)
-    return affine + inf
+    f = [emb(c) for c in curve.model.f.coeffs]
+    h = [emb(c) for c in curve.model.h.coeffs]
+    return affine_count(big.p, big.m, big, f, h) + inf
 
 
 # ---------------------------------------------------------------------------

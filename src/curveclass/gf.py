@@ -9,6 +9,12 @@ Conventions used throughout the package:
   order (compared componentwise, low degree first).
 * Field elements are indexed 0..q-1 by sum(c_i * p^i); the index doubles as
   the canonical element order.
+* Field arithmetic runs on O(q) tables over a primitive element g: exp and
+  log, plus Zech logarithms zech[k] = log(1 + g^k) for addition.  Fields
+  with q <= 128 build them at construction; larger ones on the first call
+  to Field.tables(), which count_points makes for the extension it counts
+  over.  Untabulated fields fall back to arithmetic on digit vectors, which
+  also serves the tests as an independent reference.
 * Polynomials over F_q store a tuple of element indices, low degree first,
   with no trailing zeros.  The zero polynomial has an empty tuple and its
   degree is the NEG_INF sentinel, never a number.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from typing import Iterable, Iterator
 
 from .budget import resolve_budget
@@ -206,11 +213,36 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise CurveClassError("no irreducible modulus found")  # unreachable
 
 
+def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The lex-least monic modulus of degree m >= 2 whose root t generates F_{p^m}^*.
+
+    Candidates run in the canonical modulus order.  One with f(0) != 0 is
+    primitive iff x has order exactly p^m - 1 modulo it, and that order
+    also makes it irreducible, since the unit group of F_p[x]/(f) then has
+    p^m - 1 elements.  Only constant terms with (-1)^m f(0) a generator of
+    F_p^* are tried: that is the norm of t, which a generator maps onto.
+    """
+    n = p**m - 1
+    cofactors = [n // r for r in prime_factors(n)]
+    generators = [
+        c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
+    ]
+    constants = sorted((-1) ** m * c % p for c in generators)
+    for tail in itertools.product(constants, *[range(p)] * (m - 1)):
+        cand = list(tail) + [1]
+        if _fp_powmod_x(n, cand, p) == [1] and all(
+            _fp_powmod_x(e, cand, p) != [1] for e in cofactors
+        ):
+            return tuple(cand)
+    raise CurveClassError("no primitive modulus found")  # unreachable
+
+
 # ---------------------------------------------------------------------------
 
 
 class Field:
-    """F_q with exact index-based arithmetic and optional lookup tables."""
+    """F_q with exact index-based arithmetic: on exp/log/Zech tables once
+    they are built, on digit vectors before."""
 
     __slots__ = (
         "p",
@@ -219,9 +251,9 @@ class Field:
         "modulus",
         "_red",
         "_pw",
-        "_add_t",
-        "_mul_t",
-        "_inv_t",
+        "_exp",
+        "_log",
+        "_zech",
         "_zero",
         "_one",
     )
@@ -258,9 +290,9 @@ class Field:
                     nxt[t] = (nxt[t] + top * red0[t]) % p
             red.append(tuple(nxt))
         self._red = red
-        self._add_t = self._mul_t = self._inv_t = None
+        self._exp = self._log = self._zech = None
         if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+            self.tables()
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
 
@@ -280,31 +312,64 @@ class Field:
             idx += (int(c) % self.p) * self._pw[i]
         return idx
 
-    def _build_tables(self):
-        q = self.q
-        add_t = [0] * (q * q)
-        mul_t = [0] * (q * q)
-        inv_t = [0] * q
-        digs = [self.digits(i) for i in range(q)]
-        p, m = self.p, self.m
-        for a in range(q):
-            da = digs[a]
-            row = a * q
-            for b in range(a, q):
-                db = digs[b]
-                s = self.index_of((da[i] + db[i]) % p for i in range(m))
-                add_t[row + b] = s
-                add_t[b * q + a] = s
-                pr = self._mul_digits_raw(da, db)
-                pi = self.index_of(pr)
-                mul_t[row + b] = pi
-                mul_t[b * q + a] = pi
-                if pi == 1:
-                    inv_t[a] = b
-                    inv_t[b] = a
-        self._add_t = add_t
-        self._mul_t = mul_t
-        self._inv_t = inv_t
+    def tables(self):
+        """(exp, log, zech) over a primitive element g, built on first use.
+
+        exp[k] is the index of g^k for 0 <= k < 2(q-1), the cycle stored
+        twice so a sum of two logs needs no reduction; log[a] is the k < q-1
+        with g^k = a (log[0] is unused); zech[k] is log(1 + g^k), or -1
+        where 1 + g^k = 0.  Each is an array of 4-byte ints, 16 bytes per
+        element in all.  When t itself is primitive the powers come from
+        shifting digits, otherwise from multiplying digit vectors by g.
+        """
+        if self._exp is None:
+            p, n = self.p, self.q - 1
+            g = self._primitive_element()
+            if self.m > 1 and g == p:
+                step = self._times_t
+            else:
+                def step(x):
+                    return self.mul_idx(x, g)
+            exp = array("i", [0]) * (2 * n)
+            x = 1
+            for k in range(n):
+                exp[k] = x
+                x = step(x)
+            if x != 1:
+                raise CurveClassError("internal: powers of g must cycle after q - 1 steps")
+            exp[n:] = exp[:n]
+            log = array("i", [0]) * self.q
+            for k in range(n):
+                log[exp[k]] = k
+            zech = array("i", [-1]) * n
+            for k in range(n):
+                x = exp[k]
+                # 1 + x raises digit 0 by one; x = p - 1 is -1, where it vanishes
+                if x != p - 1:
+                    zech[k] = log[x + 1 - p if x % p == p - 1 else x + 1]
+            self._exp, self._log, self._zech = exp, log, zech
+        return self._exp, self._log, self._zech
+
+    def _primitive_element(self) -> int:
+        n = self.q - 1
+        cofactors = [n // r for r in prime_factors(n)]
+        return next(
+            a for a in range(1, self.q) if all(self.pow_idx(a, e) != 1 for e in cofactors)
+        )
+
+    def _times_t(self, x: int) -> int:
+        """Index of t*x: shift the digits up, then fold the top digit back in
+        through t^m = red0 = -(c_0 + c_1 t + ... + c_{m-1} t^(m-1))."""
+        p = self.p
+        top, x = divmod(x, self._pw[self.m - 1])
+        x *= p
+        if top:
+            for i, r in enumerate(self._red[0]):
+                if r:
+                    pw = self._pw[i]
+                    d = x // pw % p
+                    x += ((d + top * r) % p - d) * pw
+        return x
 
     def _mul_digits_raw(self, da, db) -> tuple[int, ...]:
         p, m = self.p, self.m
@@ -326,34 +391,54 @@ class Field:
     # -- index-level ops -----------------------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return self._add_t[a * self.q + b]
-        da, db = self.digits(a), self.digits(b)
-        p = self.p
-        return self.index_of((da[i] + db[i]) % p for i in range(self.m))
+        if self.p == 2:
+            return a ^ b  # digit-wise addition mod 2
+        if self._exp is None:
+            da, db = self.digits(a), self.digits(b)
+            p = self.p
+            return self.index_of((da[i] + db[i]) % p for i in range(self.m))
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^i + g^j = g^i * (1 + g^(j-i)); a negative j - i wraps around zech
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg_idx(self, a: int) -> int:
-        p = self.p
-        return self.index_of((p - c) % p for c in self.digits(a))
+        if self.p == 2 or not a:
+            return a
+        if self._exp is None:
+            p = self.p
+            return self.index_of((p - c) % p for c in self.digits(a))
+        # -1 = g^((q-1)/2)
+        return self._exp[self._log[a] + self.q // 2]
 
     def sub_idx(self, a: int, b: int) -> int:
         return self.add_idx(a, self.neg_idx(b))
 
     def mul_idx(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a * self.q + b]
-        return self.index_of(self._mul_digits_raw(self.digits(a), self.digits(b)))
+        if self._exp is None:
+            return self.index_of(self._mul_digits_raw(self.digits(a), self.digits(b)))
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def inv_idx(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._inv_t is not None:
-            return self._inv_t[a]
+        if self._exp is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow_idx(a, self.q - 2)
 
     def pow_idx(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow_idx(self.inv_idx(a), -e)
+        if self._exp is not None and a:
+            return self._exp[self._log[a] * e % (self.q - 1)]
         result = 1
         base = a
         while e:
@@ -937,7 +1022,8 @@ def irreducibles(field: Field, d: int, budget: int | None = None) -> list[Poly]:
         for e1 in range(1, e // 2 + 1):
             e2 = e - e1
             for gd in by_deg[e1]:
-                glen = e1 + 1  # monic: digits gd + implicit 1? store full tuple incl lead
+                # gd is a full monic coefficient tuple, leading 1 included
+                glen = e1 + 1
                 for tail in itertools.product(range(q), repeat=e2):
                     # multiply (gd, monic) * (tail + (1,)) and mark the key
                     prod = [0] * (e + 1)

@@ -135,15 +135,16 @@ def _negate(D, f: Poly):
 
 
 def _scalar(n: int, D, f: Poly, g: int, identity):
-    acc = identity
+    # starting from the first addend spares a composition with the identity
+    acc = None
     add = D
     while n:
         if n & 1:
-            acc = _compose(acc, add, f, g)
+            acc = add if acc is None else _compose(acc, add, f, g)
         n >>= 1
         if n:
             add = _compose(add, add, f, g)
-    return acc
+    return identity if acc is None else acc
 
 
 def _group_sanity(elements, f: Poly, g: int, identity) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,15 @@ from curveclass import (
     poly_factor,
     poly_gcd,
 )
-from curveclass.gf import is_prime, mobius, monic_polys, squarefree, x_poly
+from curveclass.gf import (
+    Field,
+    is_prime,
+    mobius,
+    monic_polys,
+    primitive_modulus,
+    squarefree,
+    x_poly,
+)
 
 
 def test_canonical_moduli():
@@ -50,6 +59,62 @@ def test_field_axioms_seeded():
         # Frobenius fixes exactly the prime field
         fixed = [a for a in range(q) if k.pow_idx(a, p) == a]
         assert len(fixed) == p
+
+
+def _check_against_digits(k, pairs):
+    """Table arithmetic of k against its digit arithmetic: digit-wise
+    addition and ``_mul_digits_raw``."""
+    p = k.p
+    one = k.digits(1)
+    squares = {k._mul_digits_raw(k.digits(a), k.digits(a)) for a in range(k.q)}
+    for a in range(k.q):
+        da = k.digits(a)
+        assert k.digits(k.neg_idx(a)) == tuple((p - c) % p for c in da), (k, a)
+        assert k.is_square_idx(a) == (da in squares), (k, a)
+        if a:
+            assert k._mul_digits_raw(da, k.digits(k.inv_idx(a))) == one, (k, a)
+    for a, b in pairs:
+        da, db = k.digits(a), k.digits(b)
+        assert k.digits(k.add_idx(a, b)) == tuple((x + y) % p for x, y in zip(da, db)), (k, a, b)
+        assert k.digits(k.mul_idx(a, b)) == k._mul_digits_raw(da, db), (k, a, b)
+
+
+def test_tables_match_digit_arithmetic():
+    for q, (p, m) in {2: (2, 1), 3: (3, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4),
+                      25: (5, 2), 27: (3, 3), 49: (7, 2), 64: (2, 6), 121: (11, 2),
+                      125: (5, 3)}.items():
+        k = field_create(p, m)
+        assert k.q == q
+        _check_against_digits(k, itertools.product(range(q), repeat=2))
+
+
+def test_count_point_tables_match_digit_arithmetic_seeded():
+    # F_243 over its primitive modulus, as count_points builds it (tables by
+    # shifting digits), and F_256 over the canonical modulus, whose root t
+    # has order 51 (tables by multiplying digit vectors)
+    rng = random.Random(243)
+    for k in [Field(3, 5, primitive_modulus(3, 5)), field_create(2, 8)]:
+        assert k.q > 128
+        k.tables()
+        pairs = [(rng.randrange(k.q), rng.randrange(k.q)) for _ in range(3000)]
+        _check_against_digits(k, pairs)
+
+
+def test_primitive_modulus_is_lex_least():
+    for p, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]:
+        mod = primitive_modulus(p, m)
+        k = Field(p, m, mod)
+        assert k._primitive_element() == p  # t itself
+        # every modulus before it in the canonical order is reducible or has
+        # a root of smaller order
+        for tail in itertools.product(range(p), repeat=m):
+            if tail >= mod[:-1]:
+                break
+            try:
+                other = Field(p, m, tail + (1,))
+            except ReducibleModulus:
+                continue
+            assert other._primitive_element() != p, (p, m, tail)
 
 
 def test_index_digit_round_trip():

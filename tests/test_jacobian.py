@@ -81,6 +81,21 @@ def test_torsion_counts_match_factors_on_random_curves():
                 n *= l
 
 
+def test_scalar_is_repeated_composition():
+    # _scalar(n, x) must equal x composed with itself n times, n = 0 giving
+    # the identity, up to n = N + 1 on every element of Z/4 and Z/9
+    for p, fc in [(3, E_Z4_F3), (7, E_9_F7)]:
+        c = build(p, f=fc)
+        f, g = c.model.f, c.genus
+        elements = jacobian_mod._mumford_elements(f, g)
+        identity = elements[0]
+        for x in elements:
+            acc = identity
+            for n in range(len(elements) + 2):
+                assert jacobian_mod._scalar(n, x, f, g, identity) == acc, (p, x, n)
+                acc = jacobian_mod._compose(acc, x, f, g)
+
+
 def test_multiplication_leaving_the_set_is_an_error(monkeypatch):
     real = jacobian_mod._scalar
 

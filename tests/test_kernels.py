@@ -1,33 +1,33 @@
+import itertools
 import random
 
-from curveclass import _countcore_py
-from curveclass.counting import affine_count, backend_name, pure_affine_count
+from curveclass.counting import affine_count, backend_name
 from curveclass.gf import field_create
 
 
-def brute_count(p, d, modulus, fcoeffs, hcoeffs):
-    """Reference count over the same field, via the exact field layer."""
-    k = field_create(p, d)
-    assert list(k.modulus) == list(modulus)
+def brute_count(k, fcoeffs, hcoeffs):
+    """Reference count over the same field through its digit arithmetic
+    (``_mul_digits_raw`` and digit-wise addition), not its tables."""
+    p = k.p
+
+    def add(a, b):
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def ev(coeffs, x):
-        acc = k.zero
+        acc = k.digits(0)
         for c in reversed(coeffs):
-            acc = acc * x + k.from_index(k.index_of(c))
+            acc = add(k._mul_digits_raw(acc, x), k.digits(c))
         return acc
 
+    elems = [k.digits(i) for i in range(k.q)]
     n = 0
-    for x in k.elements():
+    for x in elems:
         fx = ev(fcoeffs, x)
         hx = ev(hcoeffs, x)
-        for y in k.elements():
-            if y * y + hx * y == fx:
+        for y in elems:
+            if add(k._mul_digits_raw(y, y), k._mul_digits_raw(hx, y)) == fx:
                 n += 1
     return n
-
-
-def digits_of(k, idx):
-    return list(k.digits(idx))
 
 
 def random_instance(rng):
@@ -37,42 +37,52 @@ def random_instance(rng):
         d = 2
     k = field_create(p, d)
     deg = rng.randrange(1, 5)
-    fcoeffs = [digits_of(k, rng.randrange(k.q)) for _ in range(deg + 1)]
+    fcoeffs = [rng.randrange(k.q) for _ in range(deg + 1)]
     if p == 2:
         hdeg = rng.randrange(0, 3)
-        hcoeffs = [digits_of(k, rng.randrange(k.q)) for _ in range(hdeg + 1)]
-        if not any(any(c) for c in hcoeffs):
-            hcoeffs[-1] = digits_of(k, 1)
+        hcoeffs = [rng.randrange(k.q) for _ in range(hdeg + 1)]
+        if not any(hcoeffs):
+            hcoeffs[-1] = 1
     else:
         hcoeffs = []
-    return p, d, list(k.modulus), fcoeffs, hcoeffs
+    return k, fcoeffs, hcoeffs
 
 
 def test_pure_matches_brute_force_seeded():
     rng = random.Random(606)
     for _ in range(25):
-        p, d, modulus, fc, hc = random_instance(rng)
-        got = pure_affine_count(p, d, modulus, fc, hc)
-        want = brute_count(p, d, modulus, fc, hc)
-        assert got == want, (p, d, fc, hc)
+        k, fc, hc = random_instance(rng)
+        got = affine_count(k.p, k.m, k, fc, hc)
+        assert got == brute_count(k, fc, hc), (k, fc, hc)
 
 
-def test_selected_backend_matches_pure_seeded():
-    rng = random.Random(607)
-    for _ in range(25):
-        p, d, modulus, fc, hc = random_instance(rng)
-        assert affine_count(p, d, modulus, fc, hc) == pure_affine_count(
-            p, d, modulus, fc, hc)
+def test_q2_every_small_model():
+    # F_2^* = {1}: the tables hold one log and the Zech entry for 1 + 1 = 0
+    k = field_create(2, 1)
+    for fc in itertools.product(range(2), repeat=4):
+        for hc in itertools.product(range(2), repeat=3):
+            assert affine_count(2, 1, k, fc, hc) == brute_count(k, fc, hc), (fc, hc)
+
+
+def test_zero_constant_terms():
+    rng = random.Random(608)
+    for p, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]:
+        k = field_create(p, d)
+        for _ in range(4):
+            fc = [0] + [rng.randrange(k.q) for _ in range(rng.randrange(1, 5))]
+            hc = [0] + [rng.randrange(k.q) for _ in range(rng.randrange(0, 3))] if p == 2 else []
+            assert affine_count(p, d, k, fc, hc) == brute_count(k, fc, hc), (p, d, fc, hc)
 
 
 def test_backend_reports_name():
-    assert backend_name() in ("compiled", "pure-python")
-    assert _countcore_py.BACKEND == "pure-python"
+    assert backend_name() == "exp-log-tables"
 
 
 def test_known_counts():
-    # y^2 = x^3 + x over F_3: affine points 3 (x=0,2 ramified-ish ... exact: 3)
-    assert pure_affine_count(3, 1, [0, 1], [[0], [1], [0], [1]], []) == 3
+    # y^2 = x^3 + x over F_3: one point over x = 0, none over x = 1 (f = 2),
+    # two over x = 2 (f = 1)
+    k3 = field_create(3, 1)
+    assert affine_count(3, 1, k3, [0, 1, 0, 1], []) == 3
     # y^2 + xy = x^3 + 1 over F_2: affine count 3 (N_1 = 4 with one at infinity)
-    assert pure_affine_count(
-        2, 1, [0, 1], [[1], [0], [0], [1]], [[0], [1]]) == 3
+    k2 = field_create(2, 1)
+    assert affine_count(2, 1, k2, [1, 0, 0, 1], [0, 1]) == 3

@@ -1,0 +1,16 @@
+"""The package ships as Python sources only: no compiled extension, no
+generated C and no build hook sit next to the modules."""
+
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curveclass"
+
+
+def test_package_holds_only_python_files():
+    assert (SRC / "__init__.py").is_file(), f"no package under {SRC}"
+    stray = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts and path.suffix != ".py"
+    ]
+    assert not stray, "files other than .py in the package: " + ", ".join(stray)
