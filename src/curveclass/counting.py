@@ -44,7 +44,7 @@ def affine_count(p: int, m: int, field, f, h) -> int:
             elif not a & 1:
                 count += 2
         return count
-    mask = sum(1 << i for i in range(m) if field.trace_to_prime_idx(1 << i))
+    mask = field.trace_mask()
     for a, b in zip(f_logs, _value_logs(h, log, zech, n)):
         if b < 0:
             count += 1

@@ -18,6 +18,14 @@ Point counts over F_q run in F_q itself; over F_{q^n}, n > 1, they run in
 F_{q^n} built over its primitive modulus, with the coefficients of f and h
 embedded.  ``affine_count`` walks that field's exp/log tables, which are
 built by the first count and cached with the field.
+
+Closed points of degree d use the same cached F_{q^d} as their residue
+fields, with x at a root of pi.  The square test is the parity of a log,
+and the square root is a table lookup.  In characteristic 2 the split test
+is the trace, and the y-values come from solving z^2 + z = u.  A residue
+returns to F_q[x]/(pi) by interpolating at the conjugates of the root.
+Validation has no budget, and the factors of h it meets can have large
+degree, so its square roots mod pi stay on Poly arithmetic.
 """
 
 from __future__ import annotations
@@ -34,13 +42,15 @@ from .errors import (
     UnsupportedModel,
 )
 from .gf import (
+    Extension,
     Field,
     Poly,
-    ResidueField,
     field_create,
     irreducibles,
+    poly_extgcd,
     poly_factor,
     poly_gcd,
+    pow_mod,
     primitive_modulus,
     squarefree,
     x_poly,
@@ -262,13 +272,11 @@ def _check_smooth_char2(f: Poly, h: Poly) -> None:
     if h.degree < 1:
         return
     fd, hd = f.derivative(), h.derivative()
+    q = f.field.q
     for pi, _mult in poly_factor(h.monic()):
-        rf = ResidueField(pi, check=False)
-        ybar = rf.sqrt(f % pi)
-        if ybar is None:
-            raise CurveClassError("internal: squaring is not onto")
-        fx = rf.add(rf.mul(hd % pi, ybar), fd % pi)
-        if fx.is_zero:
+        # sqrt(f) mod pi: x -> x^(q^d / 2) undoes squaring in F_{q^d}
+        ybar = pow_mod(f, q**pi.degree // 2, pi)
+        if ((hd * ybar + fd) % pi).is_zero:
             raise SingularModel(
                 f"affine model is singular above {pi!r} (both partials vanish)"
             )
@@ -300,7 +308,7 @@ def _strip(poly: Poly, pi: Poly) -> tuple[int, Poly]:
 
 def _finite_ram_order(num: Poly, den: Poly, pi: Poly) -> int:
     """Conductor order m_P of the reduced cover at pi; 0 when unramified."""
-    rf = ResidueField(pi, check=False)
+    half = num.field.q**pi.degree // 2
     while True:
         if num.is_zero:
             return 0
@@ -313,12 +321,10 @@ def _finite_ram_order(num: Poly, den: Poly, pi: Poly) -> int:
             return -v
         # even pole: kill the leading term with w = s/pi^k, s^2 = unit part
         k = (-v) // 2
-        nn = (num // pi**a) % pi
-        dd = (den // pi**b) % pi
-        c = rf.mul(nn, rf.inv(dd))
-        s = rf.sqrt(c)
-        if s is None:
-            raise CurveClassError("internal: squaring is not onto")
+        g, dinv, _ = poly_extgcd(den // pi**b, pi)
+        if g.degree != 0:
+            raise CurveClassError("internal: unit part must be invertible mod pi")
+        s = pow_mod(num // pi**a * dinv, half, pi)
         pik = pi**k
         num = num * (pik * pik) + den * (s * s + s * pik)
         den = den * (pik * pik)
@@ -358,47 +364,21 @@ def _infinity_normalize(num: Poly, den: Poly) -> tuple[int, int]:
 _EXT_CACHE: dict = {}
 
 
-def _extension(field: Field, n: int):
-    """F_{q^n} with its exp/log tables, plus an embedding of F_q element indices.
+def _extension(field: Field, n: int) -> Extension:
+    """F_{q^n} with its exp/log tables and the embedding of F_q, cached.
 
     For n > 1 the extension is built over its primitive modulus, so the
     tables come from shifting digits; a count does not depend on which
-    model of F_{q^n} it runs in.
+    model of F_{q^n} it runs in.  The same object serves as the residue
+    field F_q[x]/(pi) of every monic irreducible pi of degree n.
     """
     key = (field.p, field.modulus, n)
-    hit = _EXT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if n == 1:
-        big = field
-    else:
+    ext = _EXT_CACHE.get(key)
+    if ext is None:
         deg = field.m * n
-        big = field_create(field.p, deg, primitive_modulus(field.p, deg))
-    big.tables()
-    if n == 1 or field.m == 1:
-
-        def emb(idx: int) -> int:
-            # the field itself, or prime-field constants, which keep their index
-            return idx
-
-    else:
-        mod_poly = Poly(big, field.modulus)
-        roots = []
-        for fac, _mult in poly_factor(mod_poly):
-            if fac.degree == 1:
-                roots.append(big.neg_idx(fac.coefficient(0).idx))
-        if len(roots) != field.m:
-            raise CurveClassError("internal: base modulus must split in the extension")
-        rho = min(roots)
-
-        def emb(idx: int, _f=field, _b=big, _r=rho) -> int:
-            acc = 0
-            for c in reversed(_f.digits(idx)):
-                acc = _b.add_idx(_b.mul_idx(acc, _r), c)
-            return acc
-
-    _EXT_CACHE[key] = (big, emb)
-    return big, emb
+        big = field if n == 1 else field_create(field.p, deg, primitive_modulus(field.p, deg))
+        ext = _EXT_CACHE[key] = Extension(field, n, big)
+    return ext
 
 
 def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
@@ -417,10 +397,10 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     inf = sum(pt.degree for pt in curve.infinity if n % pt.degree == 0)
     if isinstance(curve.model, ProjectiveLine):
         return field.q**n + 1
-    big, emb = _extension(field, n)
-    f = [emb(c) for c in curve.model.f.coeffs]
-    h = [emb(c) for c in curve.model.h.coeffs]
-    return affine_count(big.p, big.m, big, f, h) + inf
+    ext = _extension(field, n)
+    f = [ext.emb(c) for c in curve.model.f.coeffs]
+    h = [ext.emb(c) for c in curve.model.h.coeffs]
+    return affine_count(ext.big.p, ext.big.m, ext.big, f, h) + inf
 
 
 # ---------------------------------------------------------------------------
@@ -445,45 +425,43 @@ def closed_points(
     finite: dict[int, list] = {d: [] for d in range(1, max_degree + 1)}
 
     for dpi in range(1, max_degree + 1):
-        for pi in irreducibles(field, dpi, cap):
-            if isinstance(model, ProjectiveLine):
-                finite[dpi].append(("plain", pi, None))
-                continue
+        pis = irreducibles(field, dpi, cap)
+        if isinstance(model, ProjectiveLine):
+            finite[dpi].extend(("plain", pi, None) for pi in pis)
+            continue
+        # the residue field at pi is F_{q^dpi}, with x at a root alpha of pi
+        ext = _extension(field, dpi)
+        big = ext.big
+        for pi in pis:
+            alpha = ext.root(pi)
             if field.p != 2:
-                v = model.f % pi
-                if v.is_zero:
+                v = ext.evaluate(model.f, alpha)
+                if not v:
                     finite[dpi].append(("ramified", pi, None))
                     continue
-                rf = ResidueField(pi, check=False)
-                s = rf.sqrt(v)
-                if s is None:
+                r = big.sqrt_idx(v)
+                if r is None:
                     if 2 * dpi <= max_degree:
                         finite[2 * dpi].append(("inert", pi, None))
                     continue
-                neg = rf.sub(Poly(field), s)
-                ys = sorted({s, neg}, key=Poly.sort_key)
-                for y in ys:
-                    finite[dpi].append(("split", pi, y))
+                y = ext.residue(r, alpha, pi)
+                ys = (y, -y)
             else:
-                hbar = model.h % pi
-                if hbar.is_zero:
+                hbar = ext.evaluate(model.h, alpha)
+                if not hbar:
                     finite[dpi].append(("ramified", pi, None))
                     continue
-                rf = ResidueField(pi, check=False)
-                hinv = rf.inv(hbar)
-                u = rf.mul(model.f % pi, rf.mul(hinv, hinv))
-                if rf.trace_to_prime(u) != 0:
+                # y = hbar * z turns y^2 + hbar*y = fbar into z^2 + z = fbar / hbar^2
+                u = big.mul_idx(ext.evaluate(model.f, alpha), big.inv_idx(big.mul_idx(hbar, hbar)))
+                z = ext.artin_schreier(u)
+                if z is None:
                     if 2 * dpi <= max_degree:
                         finite[2 * dpi].append(("inert", pi, None))
                     continue
-                z0 = rf.artin_schreier_solve(u)
-                if z0 is None:
-                    raise CurveClassError("internal: trace-zero class must split")
-                y0 = rf.mul(hbar, z0)
-                y1 = rf.add(y0, hbar)
-                ys = sorted({y0, y1}, key=Poly.sort_key)
-                for y in ys:
-                    finite[dpi].append(("split", pi, y))
+                y = ext.residue(big.mul_idx(hbar, z), alpha, pi)
+                ys = (y, y + model.h % pi)
+            for y in ys:
+                finite[dpi].append(("split", pi, y))
 
     out: list[ClosedPoint] = []
     for d in range(1, max_degree + 1):

@@ -15,6 +15,10 @@ Conventions used throughout the package:
   to Field.tables(), which count_points makes for the extension it counts
   over.  Untabulated fields fall back to arithmetic on digit vectors, which
   also serves the tests as an independent reference.
+* Residue fields F_q[x]/(pi) are not a type of their own.  An Extension is
+  F_{q^n} on its tables plus the embedding of F_q, and it stands in for
+  F_q[x]/(pi) for every monic irreducible pi of degree n: x goes to a root
+  of pi, taken from a table built from the Frobenius orbits on logs.
 * Polynomials over F_q store a tuple of element indices, low degree first,
   with no trailing zeros.  The zero polynomial has an empty tuple and its
   degree is the NEG_INF sentinel, never a number.
@@ -73,18 +77,35 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
+# the first 13 primes: Miller-Rabin to these bases is exact below _MR_LIMIT
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; BudgetExceeded past the proven range."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise BudgetExceeded(f"is_prime({n}): Miller-Rabin is only proven below 3.3e24")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -206,7 +227,8 @@ def _fp_is_irreducible(coeffs: list[int], p: int) -> bool:
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=m):
+    # a zero constant term makes x a factor, so c_0 runs over 1..p-1 only
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         cand = list(tail) + [1]
         if _fp_is_irreducible(cand, p):
             return tuple(cand)
@@ -254,6 +276,7 @@ class Field:
         "_exp",
         "_log",
         "_zech",
+        "_mask",
         "_zero",
         "_one",
     )
@@ -290,7 +313,7 @@ class Field:
                     nxt[t] = (nxt[t] + top * red0[t]) % p
             red.append(tuple(nxt))
         self._red = red
-        self._exp = self._log = self._zech = None
+        self._exp = self._log = self._zech = self._mask = None
         if self.q <= _TABLE_LIMIT:
             self.tables()
         self._zero = FieldElement(self, 0)
@@ -490,6 +513,13 @@ class Field:
             raise CurveClassError("internal: trace did not land in the prime field")
         return digs[0]
 
+    def trace_mask(self) -> int:
+        """For p = 2: bit i is the trace of t^i, so the trace of a is the
+        parity of a & mask, the trace being F_2-linear in the digits."""
+        if self._mask is None:
+            self._mask = sum(1 << i for i in range(self.m) if self.trace_to_prime_idx(1 << i))
+        return self._mask
+
     def is_square_idx(self, a: int) -> bool:
         if a == 0 or self.p == 2:
             return True
@@ -501,6 +531,13 @@ class Field:
             return 0
         if self.p == 2:
             return self.pow_idx(a, self.q // 2)
+        if self._exp is not None:
+            # the squares are the even logs
+            k = self._log[a]
+            if k & 1:
+                return None
+            r = self._exp[k // 2]
+            return min(r, self.neg_idx(r))
         if not self.is_square_idx(a):
             return None
         q = self.q
@@ -1061,152 +1098,148 @@ def _key_of(tail: tuple[int, ...], qpow: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-class ResidueField:
-    """The residue field F_q[x]/(pi), elements represented as reduced Polys."""
+class Extension:
+    """F_{q^n} over the base field F_q, as a tabulated Field ``big`` plus the
+    embedding of F_q element indices.
 
-    def __init__(self, pi: Poly, check: bool = True):
-        if check and not is_irreducible(pi):
-            raise ReducibleModulus("residue modulus must be irreducible")
-        self.base = pi.field
-        self.pi = pi.monic()
-        self.d = pi.degree
-        self.size = self.base.q**self.d
-        self.zero = Poly(self.base, ())
-        self.one = Poly(self.base, (1,))
+    It also serves as F_q[x]/(pi) for every monic irreducible pi of degree
+    n: x maps to a root alpha of pi (``root``), a residue goes in by
+    Horner's rule at alpha (``evaluate``) and comes back by interpolating at
+    the conjugates alpha^(q^i) (``residue``).  In between, every operation
+    is a table lookup.
+    """
 
-    def value(self, f: Poly) -> Poly:
-        return f % self.pi
+    __slots__ = ("base", "n", "big", "_rho", "_unemb", "_roots")
 
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return a + b
+    def __init__(self, base: Field, n: int, big: Field):
+        self.base, self.n, self.big = base, n, big
+        big.tables()
+        self._unemb = self._roots = None
+        # the image of the base field's t: prime-field constants need none
+        self._rho = None
+        if n > 1 and base.m > 1:
+            roots = [
+                big.neg_idx(fac.coeffs[0])
+                for fac, _mult in poly_factor(Poly(big, base.modulus))
+                if fac.degree == 1
+            ]
+            if len(roots) != base.m:
+                raise CurveClassError("internal: base modulus must split in the extension")
+            self._rho = min(roots)
 
-    def sub(self, a: Poly, b: Poly) -> Poly:
-        return a - b
+    def emb(self, idx: int) -> int:
+        """The index in F_{q^n} of the base element ``idx``."""
+        if self._rho is None:
+            return idx
+        return self._horner(self.base.digits(idx), self._rho)
 
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return (a * b) % self.pi
+    def _base_index(self, idx: int) -> int:
+        """The inverse of ``emb``: -1 outside the image of the base field."""
+        if self._rho is None:
+            return idx if idx < self.base.q else -1
+        if self._unemb is None:
+            self._unemb = {self.emb(c): c for c in range(self.base.q)}
+        return self._unemb.get(idx, -1)
 
-    def inv(self, a: Poly) -> Poly:
-        if a.is_zero:
-            raise ZeroDivisionError("inverse of zero residue")
-        g, s, _ = poly_extgcd(a, self.pi)
-        if g.degree != 0:
-            raise CurveClassError("residue not invertible; modulus reducible?")
-        return (s.scale(g.leading().inverse())) % self.pi
+    def roots(self) -> dict[tuple[int, ...], int]:
+        """{coefficients of pi: a root of pi} over every monic irreducible pi
+        of degree n, built on first use.
 
-    def pow(self, a: Poly, e: int) -> Poly:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return pow_mod(a, e, self.pi)
+        The roots of pi form one orbit of Frobenius, which acts on logs as
+        k -> k*q mod (q^n - 1); pi is the product of x - g^k over its orbit.
+        """
+        if self._roots is None:
+            big, n, q = self.big, self.n, self.base.q
+            exp = big.tables()[0]
+            N = big.q - 1
+            mul, add = big.mul_idx, big.add_idx
+            seen = bytearray(N)
+            # 0 is the one root without a log; it is rational, so only x has it
+            table = {(0, 1): 0} if n == 1 else {}
+            for k in range(N):
+                if seen[k]:
+                    continue
+                orbit = []
+                j = k
+                while not seen[j]:
+                    seen[j] = 1
+                    orbit.append(exp[j])
+                    j = j * q % N
+                if len(orbit) < n:
+                    continue  # k lies in a proper subfield
+                coeffs = [1]  # times x - r for each conjugate r, low degree first
+                for r in orbit:
+                    r = big.neg_idx(r)
+                    coeffs = [mul(r, coeffs[0])] + [
+                        add(coeffs[i - 1], mul(r, coeffs[i])) for i in range(1, len(coeffs))
+                    ] + [1]
+                key = tuple(self._base_index(c) for c in coeffs)
+                if -1 in key:
+                    raise CurveClassError("internal: minimal polynomial left the base field")
+                table[key] = exp[k]
+            if len(table) != necklace_count(q, n):
+                raise CurveClassError("internal: root table does not match the necklace formula")
+            self._roots = table
+        return self._roots
 
-    def elements(self) -> Iterator[Poly]:
-        for key in range(self.size):
-            digs = []
-            k = key
-            for _ in range(self.d):
-                digs.append(k % self.base.q)
-                k //= self.base.q
-            yield Poly(self.base, digs)
+    def root(self, pi: Poly) -> int:
+        """A root of pi in F_{q^n}; pi must be monic irreducible of degree n."""
+        alpha = self.roots().get(pi.coeffs)
+        if alpha is None:
+            raise ReducibleModulus(f"{pi!r} is not a monic irreducible of degree {self.n}")
+        return alpha
 
-    def is_square(self, a: Poly) -> bool:
-        if a.is_zero or self.base.p == 2:
-            return True
-        return self.pow(a, (self.size - 1) // 2) == self.one
+    def evaluate(self, f: Poly, alpha: int) -> int:
+        """f(alpha) in F_{q^n}: the residue of f modulo alpha's minimal polynomial."""
+        return self._horner([self.emb(c) for c in f.coeffs], alpha)
 
-    def sqrt(self, a: Poly) -> Poly | None:
-        """Canonical square root (the smaller of r, -r in poly order), or None."""
-        if a.is_zero:
-            return self.zero
-        if self.base.p == 2:
-            return self.pow(a, self.size // 2)
-        if not self.is_square(a):
+    def _horner(self, coeffs, alpha: int) -> int:
+        big, acc = self.big, 0
+        for c in reversed(coeffs):
+            acc = big.add_idx(big.mul_idx(acc, alpha), c)
+        return acc
+
+    def residue(self, beta: int, alpha: int, pi: Poly) -> Poly:
+        """The r over F_q with deg r < n and r(alpha) = beta; pi is alpha's
+        minimal polynomial.
+
+        Lagrange interpolation at the conjugates alpha_i = alpha^(q^i), with
+        values beta^(q^i), collapses to traces: with b = pi / (x - alpha),
+        whose value at alpha is pi'(alpha), r_k = Tr(beta * b_k / pi'(alpha)).
+        """
+        big, n, q = self.big, self.n, self.base.q
+        mul, add = big.mul_idx, big.add_idx
+        b = [1] * n  # synthetic division of pi by x - alpha, from the top
+        for i in range(n - 1, 0, -1):
+            b[i - 1] = add(self.emb(pi.coeffs[i]), mul(alpha, b[i]))
+        w = mul(beta, big.inv_idx(self._horner(b, alpha)))
+        out = []
+        for bk in b:
+            z, tr = mul(w, bk), 0
+            for i in range(n):
+                tr = add(tr, big.pow_idx(z, q**i))
+            out.append(self._base_index(tr))
+        if -1 in out:
+            raise CurveClassError("internal: trace left the base field")
+        return Poly(self.base, out)
+
+    def artin_schreier(self, u: int) -> int | None:
+        """A z with z^2 + z = u in F_{2^M}, or None when Tr(u) != 0.
+
+        Tr(u) comes from ``Field.trace_mask``.  With Tr(delta) = 1 and
+        S_k = u + u^2 + ... + u^(2^(k-1)), z = sum_{0<k<M} S_k delta^(2^k).
+        """
+        big = self.big
+        mask = big.trace_mask()
+        if (u & mask).bit_count() & 1:
             return None
-        Q = self.size
-        s, t = 0, Q - 1
-        while t % 2 == 0:
-            s += 1
-            t //= 2
-        z = next(e for e in self.elements() if not e.is_zero and not self.is_square(e))
-        c = self.pow(z, t)
-        r = self.pow(a, (t + 1) // 2)
-        u = self.pow(a, t)
-        while u != self.one:
-            k = 0
-            v = u
-            while v != self.one:
-                v = self.mul(v, v)
-                k += 1
-            b = self.pow(c, 1 << (s - k - 1))
-            r = self.mul(r, b)
-            c = self.mul(b, b)
-            u = self.mul(u, c)
-            s = k
-        rn = -r
-        return r if r.sort_key() <= rn.sort_key() else rn
-
-    def trace_to_prime(self, a: Poly) -> int:
-        """Absolute trace down to F_p, as an integer in [0, p)."""
-        n = self.base.m * self.d
-        acc = self.zero
-        cur = self.value(a)
-        for _ in range(n):
-            acc = acc + cur
-            cur = self.pow(cur, self.base.p)
-        if acc.is_zero:
-            return 0
-        if acc.degree != 0:
-            raise CurveClassError("trace did not land in the prime field")
-        return self.base.digits(acc.coeffs[0])[0]
-
-    def artin_schreier_solve(self, a: Poly) -> Poly | None:
-        """Solve z^2 + z = a in the residue field (characteristic 2 only)."""
-        if self.base.p != 2:
-            raise CurveClassError("artin_schreier_solve requires characteristic 2")
-        m, d = self.base.m, self.d
-        n = m * d
-        basis = []
-        for j in range(d):
-            for i in range(m):
-                basis.append(Poly(self.base, (0,) * j + (self.base._pw[i],)))
-
-        def coords(v: Poly) -> list[int]:
-            out = [0] * n
-            for j, cidx in enumerate(v.coeffs):
-                for i, bit in enumerate(self.base.digits(cidx)):
-                    out[j * m + i] = bit
-            return out
-
-        cols = []
-        for b in basis:
-            img = self.add(self.mul(b, b), b)
-            cols.append(coords(img))
-        # solve M z = coords(a) over F_2; M given by columns
-        rhs = coords(self.value(a))
-        rows = [[cols[c][r] for c in range(n)] + [rhs[r]] for r in range(n)]
-        pivots = []
-        rank = 0
-        for col in range(n):
-            sel = None
-            for r in range(rank, n):
-                if rows[r][col]:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            for r in range(n):
-                if r != rank and rows[r][col]:
-                    rows[r] = [(x ^ y) for x, y in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        for r in range(rank, n):
-            if rows[r][n]:
-                return None
-        sol = [0] * n
-        for r, col in enumerate(pivots):
-            sol[col] = rows[r][n]
-        acc = self.zero
-        for c, bit in enumerate(sol):
-            if bit:
-                acc = acc + basis[c]
-        return self.value(acc)
+        mul = big.mul_idx
+        # the lowest set bit of mask is a t^i of trace 1
+        z, s, uk, dk = 0, 0, u, mask & -mask
+        for _ in range(1, big.m):
+            s ^= uk
+            uk, dk = mul(uk, uk), mul(dk, dk)
+            z ^= mul(s, dk)
+        if mul(z, z) ^ z != u:
+            raise CurveClassError("internal: Artin-Schreier solution fails z^2 + z = u")
+        return z

@@ -10,6 +10,10 @@ prime l | N = #Pic^0, the map x -> l*x is tabulated over the enumerated set
 (one scalar multiplication per element), and #Pic^0[l^j] for j <= v_l(N)
 is counted by walking that table, with no further compositions.
 
+The v come from square roots of f modulo each prime power pi^e dividing u:
+the root mod pi is a table lookup in the cached F_{q^d}, d = deg pi, and
+Hensel steps lift it with Poly arithmetic.
+
 Every run re-verifies the group axioms on the enumerated set: identity and
 inverses on all elements, plus seeded random closure and associativity
 checks.  The torsion step adds closure under x -> l*x on every element and
@@ -22,9 +26,9 @@ import random
 from dataclasses import dataclass
 
 from .budget import ORACLE_ENUM_CAP, ORACLE_ORDER_CAP
-from .curve import Curve, DoubleCover, ProjectiveLine
+from .curve import Curve, DoubleCover, ProjectiveLine, _extension
 from .errors import BudgetExceeded, CurveClassError, OracleUnsupportedModel
-from .gf import Poly, ResidueField, monic_polys, poly_extgcd, poly_factor, prime_factors
+from .gf import Poly, monic_polys, poly_extgcd, poly_factor, prime_factors
 
 _SANITY_SEED = 0xD1F0
 _SANITY_TRIALS = 100
@@ -56,23 +60,25 @@ def p_torsion_dim(structure: AbelianGroupStructure, p: int) -> int:
 def _sqrt_mod_prime_power(f: Poly, pi: Poly, e: int) -> list[Poly]:
     """All v mod pi^e with v^2 = f; f squarefree, pi irreducible."""
     field = f.field
-    rf = ResidueField(pi, check=False)
-    fbar = f % pi
-    if fbar.is_zero:
+    # residues mod pi live in F_{q^d} at a root alpha of pi; q^d <= q^g is small
+    ext = _extension(field, pi.degree)
+    big = ext.big
+    alpha = ext.root(pi)
+    r = big.sqrt_idx(ext.evaluate(f, alpha))
+    if r == 0:
         # ramified: v = 0 works mod pi, and nothing lifts past e = 1
         return [Poly(field)] if e == 1 else []
-    s = rf.sqrt(fbar)
-    if s is None:
+    if r is None:
         return []
+    s = ext.residue(r, alpha, pi)
+    # s(alpha) = r at every step, since each correction is a multiple of pi
+    neg_inv_2r = big.neg_idx(big.inv_idx(big.add_idx(r, r)))
     mod = pi
     for _ in range(1, e):
         # Hensel step: s <- s + t*mod with 2*s*t = -(s^2 - f)/mod (mod pi)
         mod_next = mod * pi
-        r = (s * s - f) % mod_next
-        c = (r // mod) % pi
-        two_s = rf.value(s + s)
-        t = rf.mul(-c % pi, rf.inv(two_s))
-        s = (s + t * mod) % mod_next
+        c = ext.evaluate((s * s - f) % mod_next // mod, alpha)
+        s = (s + ext.residue(big.mul_idx(c, neg_inv_2r), alpha, pi) * mod) % mod_next
         mod = mod_next
     if not ((s * s - f) % mod).is_zero:
         raise CurveClassError("internal: Hensel lift failed")

@@ -7,7 +7,6 @@ from curveclass import (
     BudgetExceeded,
     Poly,
     ReducibleModulus,
-    ResidueField,
     ZeroPolynomial,
     field_create,
     irreducibles,
@@ -16,8 +15,10 @@ from curveclass import (
     poly_factor,
     poly_gcd,
 )
+from curveclass.curve import _extension
 from curveclass.gf import (
     Field,
+    _fp_is_irreducible,
     is_prime,
     mobius,
     monic_polys,
@@ -124,7 +125,9 @@ def test_index_digit_round_trip():
 
 
 def test_squares_and_roots():
-    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2)]:
+    # F_131 and F_243 are past the table limit, so their roots come from
+    # Tonelli-Shanks on digit arithmetic; the others read the log tables
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2), (131, 1), (3, 5)]:
         k = field_create(p, m)
         squares = {k.mul_idx(a, a) for a in range(k.q)}
         for a in range(k.q):
@@ -227,41 +230,136 @@ def test_monic_polys_count():
     assert len(list(monic_polys(k, 2))) == 9
 
 
+def _residues(k, d):
+    """Every residue modulo a degree-d polynomial: the polys of degree < d."""
+    return [Poly(k, t) for t in itertools.product(range(k.q), repeat=d)]
+
+
 def test_residue_field_basics():
-    k = field_create(3, 1)
-    pi = Poly(k, [1, 0, 1])  # x^2+1 irreducible over F_3
-    rf = ResidueField(pi)
-    elems = list(rf.elements())
-    assert len(elems) == 9
-    nonzero = [a for a in elems if not a.is_zero]
-    for a in nonzero:
-        assert rf.mul(a, rf.inv(a)) == Poly(k, [1])
-    squares = {tuple(rf.mul(a, a).to_json()) for a in elems}
-    for a in elems:
-        r = rf.sqrt(a)
-        if tuple(a.to_json()) in squares:
-            assert r is not None and rf.mul(r, r) == rf.value(a)
+    # mul, inv and sqrt on every element of F_q[x]/(pi), done in F_{q^d} at a
+    # root of pi, against Poly arithmetic mod pi
+    for p, m, pi in [
+        (3, 1, [1, 0, 1]),      # F_3[x]/(x^2+1)
+        (3, 1, [1, 2, 0, 1]),   # F_3[x]/(x^3+2x+1)
+        (2, 2, [2, 1, 1]),      # F_4[x]/(x^2+x+t), characteristic 2
+        (3, 2, [2, 4, 1]),      # F_9[x]/(x^2+(1+t)x+2), a non-prime base field
+        (5, 1, [3, 1]),         # F_5[x]/(x+3), degree 1
+    ]:
+        _check_residue_field(p, m, pi)
+
+
+def _check_residue_field(p, m, pi):
+    k = field_create(p, m)
+    pi = Poly(k, pi)
+    d = pi.degree
+    ext = _extension(k, d)
+    big = ext.big
+    alpha = ext.root(pi)
+    res = _residues(k, d)
+    val = {r: ext.evaluate(r, alpha) for r in res}
+    assert sorted(val.values()) == list(range(big.q))  # a bijection onto F_{q^d}
+    squares = {(r * r) % pi for r in res}
+    for r in res:
+        a = val[r]
+        assert ext.residue(a, alpha, pi) == r
+        for s in res:
+            assert ext.residue(big.mul_idx(a, val[s]), alpha, pi) == (r * s) % pi
+        if not r.is_zero:
+            assert (ext.residue(big.inv_idx(a), alpha, pi) * r) % pi == Poly(k, [1])
+        root = big.sqrt_idx(a)
+        if r in squares:
+            assert root is not None
+            y = ext.residue(root, alpha, pi)
+            assert (y * y) % pi == r
         else:
-            assert r is None and not rf.is_square(a)
+            assert root is None
 
 
 def test_residue_field_rejects_reducible():
     k = field_create(3, 1)
-    with pytest.raises(ReducibleModulus):
-        ResidueField(Poly(k, [2, 0, 1]))  # x^2+2 = x^2-1 factors
+    ext = _extension(k, 2)
+    for bad in ([2, 0, 1],   # x^2+2 = x^2-1 factors
+                [2, 0, 2],   # 2(x^2+1): irreducible but not monic
+                [1, 1]):     # degree 1, not 2
+        with pytest.raises(ReducibleModulus):
+            ext.root(Poly(k, bad))
+
+
+def test_root_table_holds_every_irreducible():
+    for p, m, d in [(2, 1, 1), (2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]:
+        k = field_create(p, m)
+        ext = _extension(k, d)
+        pis = irreducibles(k, d)
+        assert sorted(ext.roots()) == sorted(pi.coeffs for pi in pis)
+        for pi in pis:
+            assert ext.evaluate(pi, ext.root(pi)) == 0
 
 
 def test_artin_schreier_solve():
     k = field_create(2, 1)
     pi = Poly(k, [1, 1, 0, 1])  # x^3+x+1
-    rf = ResidueField(pi)
-    for a in rf.elements():
-        z = rf.artin_schreier_solve(a)
-        if rf.trace_to_prime(a) == 0:
+    ext = _extension(k, 3)
+    big = ext.big
+    alpha = ext.root(pi)
+    for r in _residues(k, 3):
+        a = ext.evaluate(r, alpha)
+        z = ext.artin_schreier(a)
+        if big.trace_to_prime_idx(a) == 0:
             assert z is not None
-            assert rf.add(rf.mul(z, z), z) == rf.value(a)
+            zr = ext.residue(z, alpha, pi)
+            assert (zr * zr + zr) % pi == r
         else:
             assert z is None
+
+
+def test_artin_schreier_every_element():
+    # even absolute degree too, where the half-trace formula does not apply
+    for m, d in [(1, 1), (1, 2), (2, 2), (1, 5), (2, 3), (3, 2)]:
+        ext = _extension(field_create(2, m), d)
+        big = ext.big
+        solved = 0
+        for u in range(big.q):
+            z = ext.artin_schreier(u)
+            if big.trace_to_prime_idx(u):
+                assert z is None
+            else:
+                assert big.mul_idx(z, z) ^ z == u
+                solved += 1
+        assert solved == big.q // 2
+
+
+def _canonical_modulus_reference(p, m):
+    """The search before constant terms were restricted: every tail in order."""
+    for tail in itertools.product(range(p), repeat=m):
+        if _fp_is_irreducible(list(tail) + [1], p):
+            return tail + (1,)
+
+
+def test_canonical_modulus_matches_full_search():
+    for p, m in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 8), (3, 2), (3, 3), (3, 4), (3, 5),
+                 (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)]:
+        assert field_create(p, m).modulus == _canonical_modulus_reference(p, m), (p, m)
+
+
+def test_canonical_modulus_large_degree():
+    mod = field_create(3, 40).modulus
+    assert len(mod) == 41 and mod[-1] == 1
+    assert _fp_is_irreducible(list(mod), 3)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_miller_rabin():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _is_prime_by_trial_division(n)]
+    assert is_prime(2**61 - 1)
+    assert not is_prime(561)          # Carmichael number
+    assert not is_prime(3215031751)   # strong pseudoprime to bases 2, 3, 5, 7
+    # the least strong pseudoprime to all 13 bases: past the proven range
+    with pytest.raises(BudgetExceeded):
+        is_prime(3317044064679887385961981)
 
 
 def test_number_theory_helpers():
