@@ -134,8 +134,7 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle(args) -> int:
     curve = _load_curve(args.curve)
-    budget = resolve_budget(args.budget)
-    structure = jacobian_group(curve, budget=budget)
+    structure = jacobian_group(curve)
     if args.json:
         print(json.dumps(structure.to_json(), separators=(",", ":")))
         return 0
@@ -174,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit machine-readable JSON")
         cmd.add_argument("--budget", type=int, default=None,
                          help="enumeration budget (default from "
-                              "CURVECLASS_BUDGET or built-in)")
+                              "CURVECLASS_BUDGET or built-in); validate "
+                              "and oracle do not use it")
         cmd.set_defaults(func=func)
         return cmd
 

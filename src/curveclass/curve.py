@@ -20,7 +20,9 @@ embedded.  ``affine_count`` walks that field's exp/log tables, which are
 built by the first count and cached with the field.
 
 Closed points of degree d use the same cached F_{q^d} as their residue
-fields, with x at a root of pi.  The square test is the parity of a log,
+fields, with x at a root of pi.  The monic irreducibles pi of degree d
+(``irreducibles``) are the keys of that field's root table, one per
+Frobenius orbit.  The square test is the parity of a log,
 and the square root is a table lookup.  In characteristic 2 the split test
 is the trace, and the y-values come from solving z^2 + z = u.  A residue
 returns to F_q[x]/(pi) by interpolating at the conjugates of the root.
@@ -46,7 +48,6 @@ from .gf import (
     Field,
     Poly,
     field_create,
-    irreducibles,
     poly_extgcd,
     poly_factor,
     poly_gcd,
@@ -381,6 +382,22 @@ def _extension(field: Field, n: int) -> Extension:
     return ext
 
 
+def irreducibles(field: Field, d: int, budget: int | None = None) -> list[Poly]:
+    """All monic irreducibles of degree d over F_q, in lexicographic order.
+
+    They are the keys of the root table of F_{q^d}, one per Frobenius orbit;
+    the table checks its size against the necklace formula.  The keys are
+    coefficient tuples of equal length, so sorting them orders the
+    polynomials by (c_0, ..., c_{d-1}).
+    """
+    if d < 1:
+        raise CurveClassError("degree must be >= 1")
+    cap = resolve_budget(budget)
+    if field.q**d > cap:
+        raise BudgetExceeded(f"q^d = {field.q ** d} exceeds budget {cap}")
+    return [Poly(field, k) for k in sorted(_extension(field, d).roots())]
+
+
 def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     """Number of points of the smooth projective model over F_{q^n}.
 
@@ -420,6 +437,11 @@ def closed_points(
         raise CurveClassError("max_degree must be >= 1")
     cap = resolve_budget(budget)
     field = curve.field
+    size = 1
+    for d in range(1, max_degree + 1):
+        size *= field.q
+        if size > cap:
+            raise BudgetExceeded(f"q^d = {size} exceeds budget {cap}")
     model = curve.model
     _KIND_RANK = {"plain": 0, "ramified": 0, "split": 1, "inert": 2}
     finite: dict[int, list] = {d: [] for d in range(1, max_degree + 1)}

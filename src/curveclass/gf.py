@@ -18,7 +18,9 @@ Conventions used throughout the package:
 * Residue fields F_q[x]/(pi) are not a type of their own.  An Extension is
   F_{q^n} on its tables plus the embedding of F_q, and it stands in for
   F_q[x]/(pi) for every monic irreducible pi of degree n: x goes to a root
-  of pi, taken from a table built from the Frobenius orbits on logs.
+  of pi, taken from a table built from the Frobenius orbits on logs.  The
+  keys of that table are all the monic irreducibles of degree n, so no
+  separate search for irreducible polynomials exists.
 * Polynomials over F_q store a tuple of element indices, low degree first,
   with no trailing zeros.  The zero polynomial has an empty tuple and its
   degree is the NEG_INF sentinel, never a number.
@@ -34,7 +36,6 @@ import random
 from array import array
 from typing import Iterable, Iterator
 
-from .budget import resolve_budget
 from .errors import (
     BudgetExceeded,
     CurveClassError,
@@ -1036,63 +1037,6 @@ def monic_polys(field: Field, d: int) -> Iterator[Poly]:
         return
     for tail in itertools.product(range(field.q), repeat=d):
         yield Poly(field, tail + (1,))
-
-
-def irreducibles(field: Field, d: int, budget: int | None = None) -> list[Poly]:
-    """All monic irreducibles of degree d over F_q, in lexicographic order.
-
-    Uses a product sieve (every reducible has a factor of degree <= d/2), and
-    self-checks the count against the necklace formula.
-    """
-    if d < 1:
-        raise CurveClassError("degree must be >= 1")
-    q = field.q
-    cap = resolve_budget(budget)
-    if q**d > cap:
-        raise BudgetExceeded(f"q^d = {q**d} exceeds budget {cap}")
-    by_deg: dict[int, list[tuple[int, ...]]] = {}
-    for e in range(1, d + 1):
-        size = q**e
-        marks = bytearray(size)
-        qpow = [q**i for i in range(e)]
-        mul, add = field.mul_idx, field.add_idx
-        for e1 in range(1, e // 2 + 1):
-            e2 = e - e1
-            for gd in by_deg[e1]:
-                # gd is a full monic coefficient tuple, leading 1 included
-                glen = e1 + 1
-                for tail in itertools.product(range(q), repeat=e2):
-                    # multiply (gd, monic) * (tail + (1,)) and mark the key
-                    prod = [0] * (e + 1)
-                    for i in range(glen):
-                        gi = gd[i]
-                        if gi:
-                            for j in range(e2):
-                                tj = tail[j]
-                                if tj:
-                                    prod[i + j] = add(prod[i + j], mul(gi, tj))
-                            prod[i + e2] = add(prod[i + e2], gi)
-                    key = 0
-                    for i in range(e):
-                        key += prod[i] * qpow[i]
-                    marks[key] = 1
-        found = [t for t in _lex_tails(q, e) if not marks[_key_of(t, qpow)]]
-        if len(found) != necklace_count(q, e):
-            raise CurveClassError("irreducible count does not match the necklace formula")
-        by_deg[e] = [t + (1,) for t in found]
-    return [Poly(field, t) for t in by_deg[d]]
-
-
-def _lex_tails(q: int, e: int) -> Iterator[tuple[int, ...]]:
-    """Tuples (c_0, ..., c_{e-1}) in lexicographic order."""
-    return itertools.product(range(q), repeat=e)
-
-
-def _key_of(tail: tuple[int, ...], qpow: list[int]) -> int:
-    key = 0
-    for i, c in enumerate(tail):
-        key += c * qpow[i]
-    return key
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def _invariant_factors(elements, f: Poly, g: int, identity) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def jacobian_group(curve: Curve, budget: int | None = None) -> AbelianGroupStructure:
+def jacobian_group(curve: Curve) -> AbelianGroupStructure:
     """Enumerate Pic^0(F_q) and return its abelian group structure."""
     model = curve.model
     if isinstance(model, ProjectiveLine):

@@ -1,5 +1,6 @@
 import pytest
 
+import curveclass.curve as curve_mod
 from curveclass import (
     BudgetExceeded,
     GeometricallyReducible,
@@ -188,6 +189,23 @@ def test_closed_points_deterministic():
     assert a == b
     ids = [pt.id for pt in closed_points(c, 2)]
     assert ids == sorted(ids, key=lambda s: (int(s[1]), "inf" in s, s))
+
+
+def test_closed_points_budget_checked_first(monkeypatch):
+    # over F_3, degree 13 is the first past the default budget: no field is built
+    monkeypatch.delenv("CURVECLASS_BUDGET", raising=False)
+    c = build(3, f=E_Z4_F3)
+    calls = []
+    real = curve_mod._extension
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(curve_mod, "_extension", counting)
+    with pytest.raises(BudgetExceeded, match=r"q\^d = 1594323 exceeds budget 1000000"):
+        closed_points(c, 10**6)
+    assert calls == []
 
 
 def test_closed_point_ids_shape():
