@@ -8,6 +8,13 @@ points in both characteristics over prime and non-prime fields;
 `validate --json` covers characteristic-2 curves where h has an
 irreducible factor of degree >= 2, the places where `_check_smooth_char2`
 and `_finite_ram_order` take square roots modulo that factor.
+
+The later VALIDATE rows and the ORACLE digests were recorded on the commit
+before field elements became plain indices.  Those VALIDATE rows have a
+non-monic h over F_4 or F_8, so `_reduced_u` scales by an inverse, or an
+even pole of f/h^2 at infinity, so `_infinity_normalize` takes a square
+root.  The ORACLE rows run Cantor composition over F_3, F_5, F_7 and F_9;
+over F_9 the squarefree test differentiates with m > 1.
 """
 
 import hashlib
@@ -16,7 +23,7 @@ import json
 import pytest
 
 from curveclass.cli import main
-from util import curve_json
+from util import E_9_F7, E_33_F7, E_H3_F3, E_H6_F3, G2_X5PX, curve_json
 
 POINTS = [
     # (p, m, f, h, max_degree, digest)
@@ -52,6 +59,45 @@ VALIDATE = [
      "b25cd01e4d2334ee3a61bde31434cf9cf707520d2b6a3c465bccb0fc807ea7ad"),
     (2, 3, [3, 1, 0, 1], [1, 1, 1],
      "7c97a32fa38c58e002303becd1df66adda1b4946082e3312a783e519f09cba69"),
+    # h not monic: the denominator of f/h^2 is scaled by an inverse
+    (2, 2, [1, 0, 0, 1], [1, 2],
+     "407a5ae5e50209234b4f8d9324b5524041212c87d3366aec050f8886b580c7bf"),
+    (2, 3, [1, 0, 0, 1], [1, 5],
+     "f17b757a66f049f7b92fd6ffd62e0026bf35fb68738ac8c428c1c0b0b4015605"),
+    (2, 3, [3, 1, 0, 1, 0, 1], [1, 0, 4],
+     "c05d3cafdea386ca7dccb2348563bd66abb7ad61e7b260886ea666c2ab7b1505"),
+    # even pole at infinity: one square-root step, then an odd pole
+    (2, 1, [0, 0, 0, 1, 1], [1],
+     "543d5a064fd37df18b51dfde3063eb7058cb7b117ca1d8a099a67459099c7f37"),
+    (2, 2, [0, 0, 0, 1, 2], [1],
+     "cb2c567a684e76fa58bd0a8b514d1a34dbd8553d473655af84a7de51587c4274"),
+    # even pole at infinity that the square-root step removes
+    (2, 2, [1, 0, 2, 1, 1], [0, 1],
+     "692d7755682468d7a8fbf5adab78e2ac054665268157ddf554606a3aed682315"),
+    (2, 2, [1, 0, 1, 1, 1], [0, 1],
+     "84f6aa01169830cd54248106de3769c53eac2cb28aa489b9d82aa657e6c0c00c"),
+    # both: h not monic and an even pole at infinity
+    (2, 2, [1, 0, 3, 3, 2], [0, 3],
+     "ad480e3511521f6d2ca82629979b4fd1e7976702ffc8dc73460af13c46b03a03"),
+    (2, 3, [1, 0, 0, 0, 0, 1, 6], [3],
+     "84ebeeeeeb59d531cfadbd9cfacffe464d098761f44604271c7b347b0591d733"),
+]
+
+ORACLE = [
+    # (p, m, f, digest)
+    (3, 1, G2_X5PX, "92635640c5e75857238458d04c2e6aaeeceb8aeddbb19141d87310237145afbd"),
+    (3, 1, E_H3_F3, "e54426aca0bee6ecd8ce9d8a16dfb307b3623b2ce1189ad0cd6ef9b0651cec09"),
+    (3, 1, E_H6_F3, "f5293f966f3d19c0c8ab72567b4f224a4bae6600a38e5d8ae435d43eaea97b15"),
+    (5, 1, G2_X5PX, "29b90ebb7369536076b113aa5429652ae0009421c5a8bcf1b35ac30e959b585e"),
+    (5, 1, (1, 0, 0, 1), "f5293f966f3d19c0c8ab72567b4f224a4bae6600a38e5d8ae435d43eaea97b15"),
+    (7, 1, E_9_F7, "773b9f28a99a64a04f3c61ffe7aa505738e843765b4ceba2612422f5998e09da"),
+    (7, 1, E_33_F7, "9f41acc0ccf5f85fdb55a029f7dc50b16c086e1371c2bbbd1ab91c4db7c62485"),
+    (7, 1, G2_X5PX, "de4ea733723eb7353c9bd54ba165890d654c13fbc0fac7c31cfc96e626a934b3"),
+    (3, 2, (0, 1, 0, 1), "985d0dfb938ff81b3e6a99ce6bcb0ef5e3d77240a03b5c59f352a1e0c087528c"),
+    (3, 2, (1, 2, 0, 1), "29e1627c066dbca1c725a4fee33dc7d628738fe40a71f4ae9b178da935f1ae2c"),
+    (3, 2, (2, 0, 5, 1), "7e221ea7d24707bcda61ed1ef3ef705cff1f3c28c50a93d7d7913f1abef1ff74"),
+    (3, 2, G2_X5PX, "b2be9b7036620b474bd1c82ce40b792f45ecfe8b7d27d3328bc1a68e67da01f4"),
+    (3, 2, (4, 0, 1, 3, 0, 1), "48d6af55947b3bc6d52488b5e2096498a4cd0ec307c5eac79a1a7b634583939e"),
 ]
 
 
@@ -71,3 +117,8 @@ def test_points_json_digest(tmp_path, capsys, p, m, f, h, d, digest):
 @pytest.mark.parametrize("p, m, f, h, digest", VALIDATE)
 def test_validate_json_digest(tmp_path, capsys, p, m, f, h, digest):
     assert _digest(tmp_path, capsys, ["validate"], curve_json(p, m, f, h)) == digest
+
+
+@pytest.mark.parametrize("p, m, f, digest", ORACLE)
+def test_oracle_json_digest(tmp_path, capsys, p, m, f, digest):
+    assert _digest(tmp_path, capsys, ["oracle"], curve_json(p, m, f)) == digest
