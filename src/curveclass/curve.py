@@ -218,7 +218,7 @@ def _validate_odd(model: DoubleCover) -> Curve:
     genus = (f.degree - 1) // 2
     if f.degree % 2 == 1:
         inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0),)
-    elif field.is_square_idx(f.leading().idx):
+    elif field.is_square_idx(f.leading()):
         inf = (
             ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0),
             ClosedPoint(id="d1#inf1", degree=1, kind="infinity", slot=1),
@@ -290,8 +290,8 @@ def _reduced_u(f: Poly, h: Poly) -> tuple[Poly, Poly]:
     if g.degree >= 1:
         num, den = num // g, den // g
     lc = den.leading()
-    if lc.idx != 1:
-        inv = lc.inverse()
+    if lc != 1:
+        inv = num.field.inv_idx(lc)
         num, den = num.scale(inv), den.scale(inv)
     return num, den
 
@@ -344,17 +344,15 @@ def _infinity_normalize(num: Poly, den: Poly) -> tuple[int, int]:
         v = den.degree - num.degree
         if v > 0:
             return 0, 0
+        c = field.mul_idx(num.leading(), field.inv_idx(den.leading()))
         if v == 0:
-            val = num.leading() / den.leading()
-            return 0, val.idx
+            return 0, c
         if (-v) % 2 == 1:
             return -v, 0
-        k = (-v) // 2
-        c = num.leading() / den.leading()
-        s_idx = field.sqrt_idx(c.idx)
+        s_idx = field.sqrt_idx(c)
         if s_idx is None:
             raise CurveClassError("internal: squaring is not onto")
-        w = (xp**k).scale(field.from_index(s_idx))
+        w = (xp ** ((-v) // 2)).scale(s_idx)
         num = num + den * (w * w + w)
 
 

@@ -7,8 +7,12 @@ Conventions used throughout the package:
   supplied the canonical one is chosen: the monic irreducible of degree m
   whose coefficient tuple (c_0, ..., c_{m-1}) is smallest in lexicographic
   order (compared componentwise, low degree first).
-* Field elements are indexed 0..q-1 by sum(c_i * p^i); the index doubles as
-  the canonical element order.
+* A field element is a plain int, its index 0..q-1, sum(c_i * p^i) over its
+  digits; the index doubles as the canonical element order.  There is no
+  element type: arithmetic goes through Field.add_idx, mul_idx, inv_idx,
+  sqrt_idx and the other *_idx methods, and Field.element_from_json is the
+  one place where outside values become indices.  The constant k < p has
+  index k for every m.
 * Field arithmetic runs on O(q) tables over a primitive element g: exp and
   log, plus Zech logarithms zech[k] = log(1 + g^k) for addition.  Fields
   with q <= 128 build them at construction; larger ones on the first call
@@ -278,8 +282,6 @@ class Field:
         "_log",
         "_zech",
         "_mask",
-        "_zero",
-        "_one",
     )
 
     def __init__(self, p: int, m: int, modulus: Iterable[int] | None = None):
@@ -317,8 +319,6 @@ class Field:
         self._exp = self._log = self._zech = self._mask = None
         if self.q <= _TABLE_LIMIT:
             self.tables()
-        self._zero = FieldElement(self, 0)
-        self._one = FieldElement(self, 1)
 
     # -- index/digit plumbing ------------------------------------------------
 
@@ -472,36 +472,6 @@ class Field:
             e >>= 1
         return result
 
-    # -- public element API --------------------------------------------------
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise CurveClassError("element from a different field")
-            return value
-        if isinstance(value, int):
-            if self.m == 1:
-                return FieldElement(self, value % self.p)
-            if not 0 <= value < self.q:
-                raise CurveClassError(f"element index {value} out of range for q={self.q}")
-            return FieldElement(self, value)
-        return FieldElement(self, self.index_of(value))
-
-    def from_index(self, idx: int) -> "FieldElement":
-        return FieldElement(self, idx)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.q):
-            yield FieldElement(self, i)
-
     def trace_to_prime_idx(self, a: int) -> int:
         """Absolute trace to F_p, returned as an integer in [0, p)."""
         acc = 0
@@ -600,58 +570,6 @@ def field_create(p: int, m: int, modulus: Iterable[int] | None = None) -> Field:
     return Field(p, m, modulus)
 
 
-class FieldElement:
-    __slots__ = ("field", "idx")
-
-    def __init__(self, field: Field, idx: int):
-        self.field = field
-        self.idx = idx
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return self.field.digits(self.idx)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add_idx(self.idx, other.idx))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub_idx(self.idx, other.idx))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_idx(self.idx))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul_idx(self.idx, other.idx))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.mul_idx(self.idx, self.field.inv_idx(other.idx)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_idx(self.idx, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv_idx(self.idx))
-
-    def __bool__(self):
-        return self.idx != 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.idx == other.idx
-            and self.field == other.field
-        )
-
-    def __lt__(self, other):
-        return self.idx < other.idx
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.m, self.idx))
-
-    def __repr__(self):
-        return f"FieldElement({self.idx} in q={self.field.q})"
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -667,19 +585,6 @@ class Poly:
         self.field = field
         self.coeffs = tuple(c)
 
-    @classmethod
-    def from_coeffs(cls, field: Field, seq) -> "Poly":
-        """Coefficients given as ints, digit lists or FieldElements, low degree first."""
-        idxs = []
-        for v in seq:
-            if isinstance(v, FieldElement):
-                idxs.append(field.element(v).idx)
-            elif isinstance(v, int):
-                idxs.append(field.element(v).idx)
-            else:
-                idxs.append(field.index_of(v))
-        return cls(field, idxs)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -692,14 +597,11 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coefficient(self, i: int) -> FieldElement:
-        idx = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return FieldElement(self.field, idx)
-
-    def leading(self) -> FieldElement:
+    def leading(self) -> int:
+        """The index of the leading coefficient."""
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self.coeffs[-1])
+        return self.coeffs[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
         F = self.field
@@ -732,9 +634,9 @@ class Poly:
                         out[i + j] = add(out[i + j], mul(ai, bj))
         return Poly(F, out)
 
-    def scale(self, c) -> "Poly":
+    def scale(self, ci: int) -> "Poly":
+        """Multiply every coefficient by the element with index ci."""
         F = self.field
-        ci = F.element(c).idx
         return Poly(F, [F.mul_idx(ci, a) for a in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
@@ -786,29 +688,13 @@ class Poly:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         if self.is_monic:
             return self
-        return self.scale(self.field.from_index(self.field.inv_idx(self.coeffs[-1])))
+        return self.scale(self.field.inv_idx(self.coeffs[-1]))
 
     def derivative(self) -> "Poly":
         F = self.field
         p = F.p
-        out = []
-        for i in range(1, len(self.coeffs)):
-            k = i % p
-            c = self.coeffs[i]
-            if k == 0 or c == 0:
-                out.append(0)
-            else:
-                ki = F.element(k).idx if F.m > 1 else k
-                out.append(F.mul_idx(ki, c))
-        return Poly(F, out)
-
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        F = self.field
-        acc = 0
-        xi = x.idx
-        for c in reversed(self.coeffs):
-            acc = F.add_idx(F.mul_idx(acc, xi), c)
-        return FieldElement(F, acc)
+        # the constant i mod p has index i mod p
+        return Poly(F, [F.mul_idx(i % p, c) for i, c in enumerate(self.coeffs) if i])
 
     def sort_key(self):
         return (len(self.coeffs), self.coeffs)
@@ -865,7 +751,7 @@ def poly_extgcd(a: Poly, b: Poly):
         t0, t1 = t1, t0 - qt * t1
     if r0.is_zero:
         return r0, s0, t0
-    lc_inv = F.from_index(F.inv_idx(r0.coeffs[-1]))
+    lc_inv = F.inv_idx(r0.coeffs[-1])
     return r0.scale(lc_inv), s0.scale(lc_inv), t0.scale(lc_inv)
 
 

@@ -89,7 +89,7 @@ def _sqrt_mod(f: Poly, u: Poly) -> list[Poly]:
     """All v with deg v < deg u and u | v^2 - f."""
     field = f.field
     cur = [Poly(field)]
-    cur_mod = Poly.from_coeffs(field, [1])
+    cur_mod = Poly(field, (1,))
     for pi, e in poly_factor(u):
         local = _sqrt_mod_prime_power(f, pi, e)
         if not local:
@@ -110,7 +110,7 @@ def _sqrt_mod(f: Poly, u: Poly) -> list[Poly]:
 
 def _mumford_elements(f: Poly, g: int) -> list[tuple[Poly, Poly]]:
     field = f.field
-    one = Poly.from_coeffs(field, [1])
+    one = Poly(field, (1,))
     out: list[tuple[Poly, Poly]] = [(one, Poly(field))]
     for d in range(1, g + 1):
         for u in monic_polys(field, d):
