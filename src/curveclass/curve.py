@@ -48,6 +48,7 @@ from .gf import (
     Field,
     Poly,
     field_create,
+    is_json_int,
     poly_extgcd,
     poly_factor,
     poly_gcd,
@@ -123,12 +124,13 @@ class Curve:
 def field_from_json(data) -> Field:
     if not isinstance(data, dict):
         raise CurveClassError("field description must be an object")
-    try:
-        p = int(data["p"])
-        m = int(data.get("m", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CurveClassError(f"bad field description: {exc}") from exc
-    modulus = data.get("modulus")
+    p, m, modulus = data.get("p"), data.get("m", 1), data.get("modulus")
+    if not is_json_int(p) or not is_json_int(m):
+        raise CurveClassError(f"bad field description: p = {p!r}, m = {m!r} must be integers")
+    if modulus is not None and not (
+        isinstance(modulus, list) and all(map(is_json_int, modulus))
+    ):
+        raise CurveClassError(f"bad field description: modulus {modulus!r} is not an integer list")
     return field_create(p, m, modulus)
 
 
@@ -152,13 +154,8 @@ def model_from_json(data) -> ProjectiveLine | DoubleCover:
     if kind == "projective_line":
         return ProjectiveLine(field)
     if kind == "double_cover":
-        try:
-            f = Poly.from_json(field, mdesc.get("f", []))
-            h = Poly.from_json(field, mdesc.get("h", []))
-        except CurveClassError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise CurveClassError(f"bad polynomial data: {exc}") from exc
+        f = Poly.from_json(field, mdesc.get("f", []))
+        h = Poly.from_json(field, mdesc.get("h", []))
         return DoubleCover(field, f, h)
     raise CurveClassError(f"unknown model kind {kind!r}")
 

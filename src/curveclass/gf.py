@@ -264,6 +264,11 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     raise CurveClassError("no primitive modulus found")  # unreachable
 
 
+def is_json_int(value) -> bool:
+    """An integer as JSON writes it: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -539,16 +544,20 @@ class Field:
         return list(self.digits(idx))
 
     def element_from_json(self, data) -> int:
-        if isinstance(data, int):
+        """The index of a wire-format element: an integer, or for m > 1 a
+        list of at most m integer digits, constant first."""
+        if is_json_int(data):
             if self.m == 1:
                 return data % self.p
             if not 0 <= data < self.q:
                 raise CurveClassError(f"element index {data} out of range")
             return data
-        digs = list(data)
-        if len(digs) > self.m:
-            raise CurveClassError("element digit list longer than extension degree")
-        return self.index_of(digs)
+        if self.m > 1 and isinstance(data, list) and all(map(is_json_int, data)):
+            if len(data) > self.m:
+                raise CurveClassError("element digit list longer than extension degree")
+            return self.index_of(data)
+        kind = "an integer or a list of integer digits" if self.m > 1 else "an integer"
+        raise CurveClassError(f"field element must be {kind}, got {data!r}")
 
     def __eq__(self, other):
         return (
@@ -704,6 +713,8 @@ class Poly:
 
     @classmethod
     def from_json(cls, field: Field, data) -> "Poly":
+        if not isinstance(data, list):
+            raise CurveClassError(f"polynomial must be a list of coefficients, got {data!r}")
         return cls(field, [field.element_from_json(v) for v in data])
 
     def __eq__(self, other):

@@ -41,6 +41,44 @@ def test_missing_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# each probe bends one field of y^2 = x^3 + x over F_9 into a non-integer
+MALFORMED = {
+    "f_digit_string": ("f", ["12", 1, 0, 1]),
+    "f_string": ("f", "0101"),
+    "f_float_digit": ("f", [[1.7, 0], 1, 0, 1]),
+    "f_bool": ("f", [0, True, 0, 1]),
+    "m_string": ("m", "2"),
+    "m_bool": ("m", True),
+    "p_float": ("p", 3.5),
+    "modulus_strings": ("modulus", ["1", "0", "1"]),
+    "modulus_int": ("modulus", 5),
+}
+
+
+@pytest.mark.parametrize("key, value", MALFORMED.values(), ids=MALFORMED.keys())
+def test_wire_format_takes_json_integers_only(curve_file, capsys, key, value):
+    data = curve_json(3, m=2, f=[0, 1, 0, 1])
+    where = data["model"] if key == "f" else data["field"]
+    where[key] = value
+    assert main(["validate", curve_file("bad.json", data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_budget_env_not_an_integer_exit_1(curve_file, capsys, monkeypatch):
+    monkeypatch.setenv("CURVECLASS_BUDGET", "abc")
+    path = curve_file("e.json", curve_json(3, f=[0, 1, 0, 1]))
+    assert main(["zeta", path]) == 1
+    assert "CURVECLASS_BUDGET" in capsys.readouterr().err
+
+
+def test_budget_below_one_exit_1(curve_file, capsys, monkeypatch):
+    monkeypatch.delenv("CURVECLASS_BUDGET", raising=False)
+    path = curve_file("e.json", curve_json(3, f=[0, 1, 0, 1]))
+    assert main(["zeta", path, "--budget", "-1"]) == 1
+    assert "is not an integer >= 1" in capsys.readouterr().err
+
+
 def test_points_text(curve_file, capsys):
     path = curve_file("p1.json", curve_json(2))
     assert main(["points", path, "--max-degree", "2"]) == 0
