@@ -703,7 +703,7 @@ class Poly:
         F = self.field
         p = F.p
         # the constant i mod p has index i mod p
-        return Poly(F, [F.mul_idx(i % p, c) for i, c in enumerate(self.coeffs) if i])
+        return Poly(F, [F.mul_idx(i % p, c) for i, c in enumerate(self.coeffs[1:], 1)])
 
     def sort_key(self):
         return (len(self.coeffs), self.coeffs)
