@@ -4,7 +4,8 @@
 Each search walks monic squarefree polynomials in lexicographic order
 (constant coefficient first, ascending) and prints the first hit as a
 JSON line, so every frozen constant in tests/ can be re-derived from
-scratch.  Takes a few seconds total.
+first principles.  Takes about half a minute in all, most of it the F_27
+search.
 """
 
 import argparse
@@ -14,8 +15,9 @@ from itertools import product
 from curveclass.curve import DoubleCover, closed_points, validate
 from curveclass.errors import CurveClassError
 from curveclass.gf import Poly, field_create
+from curveclass.hasse_witt import det_rank, frobenius_matrix, hasse_witt_matrix, mat_mul
 from curveclass.ihara import ihara_sum_exceeds
-from curveclass.jacobian import jacobian_group
+from curveclass.jacobian import jacobian_group, p_torsion_dim
 from curveclass.zeta import l_polynomial
 
 
@@ -120,6 +122,63 @@ def search_group_shape(q, degree, factors):
     raise SystemExit(f"no degree-{degree} curve over F_{q} with group {factors}")
 
 
+def search_p_torsion(p, m, degree, target_s):
+    """First squarefree monic f over F_{p^m} whose Pic^0[p] has F_p-dimension
+    target_s, by the oracle: the pinned s = 2 fixtures of the Hasse–Witt
+    tests."""
+    field = field_create(p, m)
+    for f in monic_candidates(field, degree):
+        curve = validated(field, f)
+        if curve is None:
+            continue
+        structure = jacobian_group(curve)
+        if p_torsion_dim(structure, field.p) == target_s:
+            return emit(f"s={target_s} deg={degree} q={field.q}", field, curve,
+                        l_polynomial(curve),
+                        {"invariant_factors": list(structure.invariant_factors)})
+    raise SystemExit(f"no degree-{degree} curve over F_{field.q} with s={target_s}")
+
+
+def _s_of(a_pi, field):
+    """g - rank(a_pi - I)."""
+    minus_one = [[field.sub_idx(x, int(i == j)) for j, x in enumerate(row)]
+                 for i, row in enumerate(a_pi)]
+    return len(a_pi) - det_rank(minus_one, field)[1]
+
+
+def _reversed_product(a, field):
+    """A A^(sigma) ... A^(sigma^(m-1)): the Frobenius product in the wrong order."""
+    conj = prod = a
+    for _ in range(field.m - 1):
+        conj = [[field.pow_idx(x, field.p) for x in row] for row in conj]
+        prod = mat_mul(prod, conj, field)
+    return prod
+
+
+def search_reversed_product(p, m, degree):
+    """First squarefree monic f over F_{p^m} on which the Frobenius product
+    taken in the wrong order gives a different s from the oracle.  The
+    right order (`frobenius_matrix`) is checked against the oracle too."""
+    field = field_create(p, m)
+    g = (degree - 1) // 2
+    for f in monic_candidates(field, degree):
+        a = hasse_witt_matrix(f, g)
+        s_right = _s_of(frobenius_matrix(a, field), field)
+        s_wrong = _s_of(_reversed_product(a, field), field)
+        # both products are cheap; the oracle runs only where they differ
+        if s_right == s_wrong:
+            continue
+        curve = validated(field, f)
+        if curve is None:
+            continue
+        s = p_torsion_dim(jacobian_group(curve), field.p)
+        if s_right != s:
+            raise SystemExit(f"Hasse-Witt s disagrees with the oracle on {f!r}")
+        return emit(f"reversed product wrong deg={degree} q={field.q}", field, curve,
+                    l_polynomial(curve), {"s": s, "reversed_s": s_wrong})
+    raise SystemExit(f"no degree-{degree} curve over F_{field.q} separates the two orders")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--all", action="store_true",
@@ -138,6 +197,11 @@ def main(argv=None) -> int:
     # h = 9 over F_7 both ways: a repeated odd prime in the oracle's factors
     search_group_shape(7, 3, (3, 3))
     search_group_shape(7, 3, (9,))
+    # s = 2 for the Hasse-Witt tests, over a prime field and over F_9
+    search_p_torsion(3, 1, 7, 2)
+    search_p_torsion(3, 2, 5, 2)
+    # the order of the Frobenius product matters over F_27
+    search_reversed_product(3, 3, 5)
     return 0
 
 

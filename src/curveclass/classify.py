@@ -14,6 +14,13 @@ table; which arithmetic gets computed depends on the case:
 
 Verdicts are KPI1_TRUE / KPI1_FALSE / UNDETERMINED; UNDETERMINED is a
 first-class outcome, reported without any heuristic guess.
+
+The invariant s = dim_{F_p} Pic^0(F_q)[p] is filled in only inside the
+Jacobian oracle's gates (``jacobian.oracle_gate``), and "unknown" outside
+them.  In characteristic p (cases 2, 4, 5) it comes from the Hasse–Witt
+matrix, whose determinant is checked against h mod p; the oracle still
+enumerates the class group for case 6 and when the zeta layer hit the
+budget, and there its order is checked against L(1).
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ from .errors import (
     UnsupportedCase,
 )
 from .gf import is_prime
+from .hasse_witt import hasse_witt_s
 from .ihara import ihara_sum_exceeds
-from .jacobian import jacobian_group, p_torsion_dim
+from .jacobian import jacobian_group, oracle_gate, p_torsion_dim
 from .zeta import l_polynomial
 
 VERDICT_TRUE = "KPI1_TRUE"
@@ -207,6 +215,22 @@ def _oracle_s(curve: Curve, p: int, h: int | None):
     return p_torsion_dim(structure, p)
 
 
+def _char_p_s(curve: Curve, p: int, h: int | None):
+    """s in characteristic p, or None outside the oracle's gates.
+
+    Inside them s comes from the Hasse–Witt matrix, which also checks
+    h mod p; only when the zeta layer hit the budget (h is None) does the
+    oracle enumerate the class group instead.
+    """
+    if h is None:
+        return _oracle_s(curve, p, h)
+    try:
+        oracle_gate(curve, h)
+    except (OracleUnsupportedModel, BudgetExceeded):
+        return None
+    return hasse_witt_s(curve, h)
+
+
 def classify(instance: MarkedInstance, budget: int | None = None) -> ClassificationReport:
     curve, p = instance.curve, instance.p
     if not is_prime(p):
@@ -246,7 +270,7 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
             inv["pic_p_nontrivial"] = lp.class_number % p == 0
         except BudgetExceeded:
             pass
-        s = _oracle_s(curve, p, inv["h"])
+        s = _char_p_s(curve, p, inv["h"])
         if s is not None:
             inv["s"] = s
             euler = euler_bookkeeping(s, 0, 1 + s)
@@ -294,7 +318,7 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
         )
     result = ihara_sum_exceeds(degrees, curve.field.q, curve.genus)
     inv["ihara"] = result.to_json()
-    s = _oracle_s(curve, p, inv["h"])
+    s = _char_p_s(curve, p, inv["h"])
     if s is not None:
         inv["s"] = s
     if result.exceeds:

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("curve", help="path to a curve JSON file")
         cmd.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON")
-        cmd.add_argument("--budget", type=int, default=None,
+        cmd.add_argument("--budget", default=None,
                          help="enumeration budget (default from "
                               "CURVECLASS_BUDGET or built-in); validate "
                               "and oracle do not use it")
@@ -212,10 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_budget(raw):
+    """The --budget string as an int; one int() cannot read is an input error,
+    as a bad CURVECLASS_BUDGET is, rather than an argparse usage exit."""
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise CurveClassError(f"--budget {raw!r} is not an integer >= 1") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "budget"):
+            args.budget = _parse_budget(args.budget)
         return args.func(args)
     except UnsupportedCase as exc:
         print(f"error: {exc}", file=sys.stderr)

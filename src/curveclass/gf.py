@@ -300,7 +300,10 @@ class Field:
         if modulus is None:
             mod = _canonical_modulus(p, m)
         else:
-            mod = tuple(int(c) % p for c in modulus)
+            mod = tuple(modulus)
+            if not all(map(is_json_int, mod)):
+                raise CurveClassError(f"modulus {list(mod)!r} must be a list of integers")
+            mod = tuple(c % p for c in mod)
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise ReducibleModulus(f"modulus must be monic of degree {m}")
             if m >= 1 and not _fp_is_irreducible(list(mod), p):

@@ -14,6 +14,11 @@ The v come from square roots of f modulo each prime power pi^e dividing u:
 the root mod pi is a table lookup in the cached F_{q^d}, d = deg pi, and
 Hensel steps lift it with Poly arithmetic.
 
+``classify`` calls it for case 6 (p different from the characteristic) and
+when the zeta layer hit the budget; the ``oracle`` subcommand and the tests
+use it as the reference.  In characteristic p, s comes from the Hasse–Witt
+matrix instead (``hasse_witt``), inside the same gates (``oracle_gate``).
+
 Every run re-verifies the group axioms on the enumerated set: identity and
 inverses on all elements, plus seeded random closure and associativity
 checks.  The torsion step adds closure under x -> l*x on every element and
@@ -252,11 +257,19 @@ def _invariant_factors(elements, f: Poly, g: int, identity) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def jacobian_group(curve: Curve) -> AbelianGroupStructure:
-    """Enumerate Pic^0(F_q) and return its abelian group structure."""
+def oracle_gate(curve: Curve, order: int | None = None) -> None:
+    """Raise where the oracle does not run; return None where it does.
+
+    OracleUnsupportedModel unless the model is the projective line or an
+    odd-characteristic double cover y^2 = f with h = 0 and deg f = 2g + 1;
+    BudgetExceeded when q^g exceeds ORACLE_ENUM_CAP or, given the group
+    order, when that exceeds ORACLE_ORDER_CAP.  The char-p path of
+    ``classify`` passes the class number as the order, so it reports s for
+    exactly the curves the oracle would.
+    """
     model = curve.model
     if isinstance(model, ProjectiveLine):
-        return AbelianGroupStructure(order=1, invariant_factors=())
+        return
     if not isinstance(model, DoubleCover):
         raise OracleUnsupportedModel(f"no oracle for {model!r}")
     field = model.field
@@ -264,9 +277,8 @@ def jacobian_group(curve: Curve) -> AbelianGroupStructure:
         raise OracleUnsupportedModel("oracle needs odd characteristic")
     if not model.h.is_zero:
         raise OracleUnsupportedModel("oracle needs a completed square (h = 0)")
-    f = model.f
     g = curve.genus
-    if f.degree != 2 * g + 1:
+    if model.f.degree != 2 * g + 1:
         raise OracleUnsupportedModel(
             "oracle needs an odd-degree model (one point at infinity)"
         )
@@ -274,11 +286,19 @@ def jacobian_group(curve: Curve) -> AbelianGroupStructure:
         raise BudgetExceeded(
             f"q^g = {field.q ** g} exceeds the enumeration cap {ORACLE_ENUM_CAP}"
         )
+    if order is not None and order > ORACLE_ORDER_CAP:
+        raise BudgetExceeded(f"group order {order} exceeds the cap {ORACLE_ORDER_CAP}")
+
+
+def jacobian_group(curve: Curve) -> AbelianGroupStructure:
+    """Enumerate Pic^0(F_q) and return its abelian group structure."""
+    oracle_gate(curve)
+    if isinstance(curve.model, ProjectiveLine):
+        return AbelianGroupStructure(order=1, invariant_factors=())
+    f = curve.model.f
+    g = curve.genus
     elements = _mumford_elements(f, g)
-    if len(elements) > ORACLE_ORDER_CAP:
-        raise BudgetExceeded(
-            f"group order {len(elements)} exceeds the cap {ORACLE_ORDER_CAP}"
-        )
+    oracle_gate(curve, len(elements))
     identity = elements[0]
     _group_sanity(elements, f, g, identity)
     inv = _invariant_factors(elements, f, g, identity)

@@ -1,10 +1,12 @@
 import importlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 classify_mod = importlib.import_module("curveclass.classify")
+hasse_witt_mod = importlib.import_module("curveclass.hasse_witt")
 from curveclass import (
     CharacteristicClash,
     InconsistentInput,
@@ -141,7 +143,32 @@ def test_case2_oracle_out_of_reach():
 
 
 def test_oracle_order_checked_against_class_number(monkeypatch):
-    # a wrong oracle order is an internal error whenever L(1) is known ...
+    # in characteristic p, s comes from the Hasse-Witt matrix, whose
+    # determinant is checked against h mod p: a wrong h is an internal error
+    real_lp = classify_mod.l_polynomial
+
+    def h_plus_one(curve, budget=None):
+        return SimpleNamespace(class_number=real_lp(curve, budget).class_number + 1)
+
+    monkeypatch.setattr(classify_mod, "l_polynomial", h_plus_one)
+    with pytest.raises(CurveClassError, match="Hasse–Witt determinant disagrees"):
+        run(build(3, f=list(E_Z4_F3)), 3)
+    monkeypatch.setattr(classify_mod, "l_polynomial", real_lp)
+
+    # ... and so is a perturbed A_pi with the right h
+    real_frob = hasse_witt_mod.frobenius_matrix
+
+    def perturbed(a, field):
+        out = [list(row) for row in real_frob(a, field)]
+        out[0][0] = field.add_idx(out[0][0], 1)
+        return out
+
+    monkeypatch.setattr(hasse_witt_mod, "frobenius_matrix", perturbed)
+    with pytest.raises(CurveClassError, match="Hasse–Witt determinant disagrees"):
+        run(build(3, f=list(E_Z4_F3)), 3)
+    monkeypatch.setattr(hasse_witt_mod, "frobenius_matrix", real_frob)
+
+    # away from the characteristic a wrong oracle order disagrees with L(1)
     real = classify_mod.jacobian_group
 
     def off_by_one(curve):
@@ -150,11 +177,9 @@ def test_oracle_order_checked_against_class_number(monkeypatch):
 
     monkeypatch.setattr(classify_mod, "jacobian_group", off_by_one)
     with pytest.raises(CurveClassError, match="disagrees with L"):
-        run(build(3, f=list(E_Z4_F3)), 3)
-    with pytest.raises(CurveClassError, match="disagrees with L"):
         run(build(3, f=list(G2_X5PX)), 2)  # case 6: mu_2 in F_3 and 2 | h
 
-    # ... and skipped when the zeta layer hit the budget
+    # ... and the check is skipped when the zeta layer hit the budget
     def over_budget(*a, **k):
         raise BudgetExceeded("zeta over budget")
 

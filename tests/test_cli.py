@@ -79,6 +79,16 @@ def test_budget_below_one_exit_1(curve_file, capsys, monkeypatch):
     assert "is not an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["zeta", "validate", "oracle"])
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_budget_flag_not_an_integer_exit_1(curve_file, capsys, command, value):
+    # the same input error as CURVECLASS_BUDGET=abc, not an argparse usage exit
+    path = curve_file("e.json", curve_json(3, f=[0, 1, 0, 1]))
+    assert main([command, path, "--budget", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--budget {value!r}" in err
+
+
 def test_points_text(curve_file, capsys):
     path = curve_file("p1.json", curve_json(2))
     assert main(["points", path, "--max-degree", "2"]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from curveclass import (
     BudgetExceeded,
+    CurveClassError,
     Poly,
     ReducibleModulus,
     ZeroPolynomial,
@@ -38,6 +39,13 @@ def test_canonical_moduli():
 def test_bad_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         field_create(2, 2, [1, 0, 1])  # t^2+1 = (t+1)^2 over F_2
+
+
+@pytest.mark.parametrize("modulus", [["1", "0", "1"], [1.0, 0, 1], [True, 0, 1]])
+def test_modulus_entries_must_be_ints(modulus):
+    # the library entry checks types as the wire format does
+    with pytest.raises(CurveClassError, match="must be a list of integers"):
+        field_create(3, 2, modulus)
 
 
 def test_field_axioms_seeded():

@@ -24,6 +24,10 @@ E_H6_F3 = (0, 2, 1, 1)        # x^3+x^2+2x over F_3: h = 6
 G2_X5PX = (0, 1, 0, 0, 0, 1)  # y^2 = x^5+x: h = 12/36/64 over F_3/F_5/F_7
 E_33_F7 = (1, 3, 4, 1)        # x^3+4x^2+3x+1 over F_7: h = 9, class group Z/3 x Z/3
 E_9_F7 = (1, 1, 3, 1)         # x^3+3x^2+x+1 over F_7: h = 9, class group Z/9
+S2_F3 = (0, 1, 1, 0, 1, 0, 1, 1)  # genus 3 over F_3: h = 36, Z/3 x Z/12, s = 2
+# G2_X5PX over F_9 (canonical modulus): h = 144, (Z/2)^2 x (Z/6)^2, s = 2
+REV_F27 = (0, 3, 0, 0, 9, 1)  # genus 2 over F_27: h = 950, s = 0, but 1 from
+                              # the Frobenius product taken in the wrong order
 
 # hand-checked elliptic fixtures
 E_Z4_F3 = (0, 1, 0, 1)        # y^2 = x^3+x over F_3: h = 4, class group Z/4
