@@ -14,8 +14,8 @@ from itertools import product
 
 from curveclass.curve import DoubleCover, closed_points, validate
 from curveclass.errors import CurveClassError
-from curveclass.gf import Poly, field_create
-from curveclass.hasse_witt import det_rank, frobenius_matrix, hasse_witt_matrix, mat_mul
+from curveclass.gf import Poly, det_rank, field_create
+from curveclass.hasse_witt import frobenius_matrix, hasse_witt_matrix, mat_mul
 from curveclass.ihara import ihara_sum_exceeds
 from curveclass.jacobian import jacobian_group, p_torsion_dim
 from curveclass.zeta import l_polynomial

@@ -44,7 +44,7 @@ from .gf import is_prime
 from .hasse_witt import hasse_witt_s
 from .ihara import ihara_sum_exceeds
 from .jacobian import jacobian_group, oracle_gate, p_torsion_dim
-from .zeta import l_polynomial
+from .zeta import l_polynomial, pic_p_nontrivial
 
 VERDICT_TRUE = "KPI1_TRUE"
 VERDICT_FALSE = "KPI1_FALSE"
@@ -200,6 +200,23 @@ def _blank_invariants(curve: Curve) -> dict:
     }
 
 
+def _zeta_invariants(curve: Curve, p: int, cap: int, inv: dict, required: bool):
+    """Fill h and pic_p_nontrivial in inv from the zeta layer; return p | h.
+
+    When that layer hits the budget the error propagates if the verdict
+    needs p | h (required), and otherwise inv stays blank and this is None.
+    """
+    try:
+        lp = l_polynomial(curve, cap)
+    except BudgetExceeded:
+        if required:
+            raise
+        return None
+    inv["h"] = lp.class_number
+    inv["pic_p_nontrivial"] = pic = pic_p_nontrivial(lp, p)
+    return pic
+
+
 def _oracle_s(curve: Curve, p: int, h: int | None):
     """s from the Jacobian oracle, or None where it does not run.
 
@@ -264,12 +281,7 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
         # unmarked projective curve: true with cd <= 2; invariants are
         # enrichment only, filled in when cheap and supported
         euler = None
-        try:
-            lp = l_polynomial(curve, cap)
-            inv["h"] = lp.class_number
-            inv["pic_p_nontrivial"] = lp.class_number % p == 0
-        except BudgetExceeded:
-            pass
+        _zeta_invariants(curve, p, cap, inv, required=False)
         s = _char_p_s(curve, p, inv["h"])
         if s is not None:
             inv["s"] = s
@@ -284,10 +296,7 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
             euler=euler,
             note=None,
         )
-    lp = l_polynomial(curve, cap)
-    inv["h"] = lp.class_number
-    pic = lp.class_number % p == 0
-    inv["pic_p_nontrivial"] = pic
+    pic = _zeta_invariants(curve, p, cap, inv, required=True)
     degrees = sorted(pt.degree for pt in T_pts)
     if not pic:
         # p-part of the class group vanishes: pi1 is cyclic of order p^r
@@ -355,20 +364,8 @@ def _classify_prime_to_char(curve, S_pts, T_pts, p, cap) -> ClassificationReport
     inv = _blank_invariants(curve)
     mu = mu_p_in_field(curve.field.q, p)
     inv["mu_p"] = mu
-    pic = None
-    if mu:
-        lp = l_polynomial(curve, cap)
-        inv["h"] = lp.class_number
-        pic = lp.class_number % p == 0
-        inv["pic_p_nontrivial"] = pic
-    else:
-        try:
-            lp = l_polynomial(curve, cap)
-            inv["h"] = lp.class_number
-            pic = lp.class_number % p == 0
-            inv["pic_p_nontrivial"] = pic
-        except BudgetExceeded:
-            pass
+    # mu_p in F_q: case 6 or 7 turns on p | h, so the budget error propagates
+    pic = _zeta_invariants(curve, p, cap, inv, required=mu)
     if pic is False:
         inv["s"] = 0
     elif pic:

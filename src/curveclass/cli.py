@@ -181,14 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_curve_cmd("validate", cmd_validate, "check a curve model")
 
     pts = add_curve_cmd("points", cmd_points, "list closed points")
-    pts.add_argument("--max-degree", type=int, required=True,
+    pts.add_argument("--max-degree", required=True,
                      help="largest residue degree to enumerate")
 
     add_curve_cmd("zeta", cmd_zeta, "zeta numerator and class number")
 
     cls = add_curve_cmd("classify", cmd_classify,
                         "run the decision procedure")
-    cls.add_argument("--p", type=int, required=True,
+    cls.add_argument("--p", required=True,
                      help="the prime of the statement")
     cls.add_argument("--S", nargs="*", default=[],
                      help="closed-point ids removed from the curve")
@@ -201,34 +201,36 @@ def build_parser() -> argparse.ArgumentParser:
     gm = sub.add_parser("gmodule", help="module coinvariants harness")
     gm.add_argument("spec_file", nargs="?", default=None,
                     help="path to a module JSON file")
-    gm.add_argument("--random", type=int, default=None, metavar="N",
+    gm.add_argument("--random", default=None, metavar="N",
                     help="generate N random modules instead")
-    gm.add_argument("--seed", type=int, default=0,
+    gm.add_argument("--seed", default=0,
                     help="seed for --random")
-    gm.add_argument("--p", type=int, required=True,
+    gm.add_argument("--p", required=True,
                     help="the prime of the statement")
     gm.set_defaults(func=cmd_gmodule)
 
     return parser
 
 
-def _parse_budget(raw):
-    """The --budget string as an int; one int() cannot read is an input error,
-    as a bad CURVECLASS_BUDGET is, rather than an argparse usage exit."""
+def _parse_int(args, dest):
+    """Turn the integer option dest into an int; a value int() cannot read is
+    an input error, as a bad CURVECLASS_BUDGET is, not a usage exit."""
+    raw = getattr(args, dest, None)
     if raw is None:
-        return None
+        return
     try:
-        return int(raw)
+        setattr(args, dest, int(raw))
     except ValueError:
-        raise CurveClassError(f"--budget {raw!r} is not an integer >= 1") from None
+        kind = "an integer >= 1" if dest == "budget" else "an integer"
+        raise CurveClassError(f"--{dest.replace('_', '-')} {raw!r} is not {kind}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "budget"):
-            args.budget = _parse_budget(args.budget)
+        for dest in ("budget", "p", "max_degree", "random", "seed"):
+            _parse_int(args, dest)
         return args.func(args)
     except UnsupportedCase as exc:
         print(f"error: {exc}", file=sys.stderr)

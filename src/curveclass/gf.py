@@ -17,8 +17,11 @@ Conventions used throughout the package:
   log, plus Zech logarithms zech[k] = log(1 + g^k) for addition.  Fields
   with q <= 128 build them at construction; larger ones on the first call
   to Field.tables(), which count_points makes for the extension it counts
-  over.  Untabulated fields fall back to arithmetic on digit vectors, which
-  also serves the tests as an independent reference.
+  over, and sqrt_idx makes in odd characteristic.  Untabulated fields do
+  everything but square roots on digit vectors, which also serves the tests
+  as an independent reference.
+* det_rank is the one Gaussian elimination over a field, for Hasse–Witt and
+  for the G-module harness over F_p.
 * Residue fields F_q[x]/(pi) are not a type of their own.  An Extension is
   F_{q^n} on its tables plus the embedding of F_q, and it stands in for
   F_q[x]/(pi) for every monic irreducible pi of degree n: x goes to a root
@@ -505,40 +508,21 @@ class Field:
         return self.pow_idx(a, (self.q - 1) // 2) == 1
 
     def sqrt_idx(self, a: int) -> int | None:
-        """A square root of a, or None.  Returns min(r, -r) for determinism."""
+        """A square root of a, or None.  Returns min(r, -r) for determinism.
+
+        In odd characteristic the squares are the even logs, so this reads
+        the tables, building them on first use (16 bytes per element).
+        """
         if a == 0:
             return 0
         if self.p == 2:
             return self.pow_idx(a, self.q // 2)
-        if self._exp is not None:
-            # the squares are the even logs
-            k = self._log[a]
-            if k & 1:
-                return None
-            r = self._exp[k // 2]
-            return min(r, self.neg_idx(r))
-        if not self.is_square_idx(a):
+        if self._exp is None:
+            self.tables()
+        k = self._log[a]
+        if k & 1:
             return None
-        q = self.q
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            s += 1
-            t //= 2
-        z = next(i for i in range(1, q) if not self.is_square_idx(i))
-        c = self.pow_idx(z, t)
-        r = self.pow_idx(a, (t + 1) // 2)
-        u = self.pow_idx(a, t)
-        while u != 1:
-            k = 0
-            v = u
-            while v != 1:
-                v = self.mul_idx(v, v)
-                k += 1
-            b = self.pow_idx(c, 1 << (s - k - 1))
-            r = self.mul_idx(r, b)
-            c = self.mul_idx(b, b)
-            u = self.mul_idx(u, c)
-            s = k
+        r = self._exp[k // 2]
         return min(r, self.neg_idx(r))
 
     def element_to_json(self, idx: int):
@@ -580,6 +564,30 @@ class Field:
 def field_create(p: int, m: int, modulus: Iterable[int] | None = None) -> Field:
     """Construct F_{p^m}; canonical modulus when none is given."""
     return Field(p, m, modulus)
+
+
+def det_rank(rows: list[list[int]], field: Field) -> tuple[int, int]:
+    """(det, rank) of a square matrix of indices, by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det, rank = 1, 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if m[r][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = field.neg_idx(det)
+        top = m[rank]
+        det = field.mul_idx(det, top[col])
+        inv = field.inv_idx(top[col])
+        for r in range(rank + 1, n):
+            if m[r][col]:
+                k = field.mul_idx(m[r][col], inv)
+                m[r] = [field.sub_idx(x, field.mul_idx(k, y)) for x, y in zip(m[r], top)]
+        rank += 1
+    return det, rank
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +658,6 @@ class Poly:
         """Multiply every coefficient by the element with index ci."""
         F = self.field
         return Poly(F, [F.mul_idx(ci, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other: "Poly"):
         F = self.field

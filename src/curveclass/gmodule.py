@@ -8,7 +8,7 @@ submodule rank comes from a fraction-free kernel computation.  Both feed
 coinvariants are nonzero mod p" (the two agree whenever p does not divide
 the group order).  ``invcoinv_dims`` is the matching mod-p engine: for any
 square phi over F_p it computes dim ker(1 - phi) and dim coker(1 - phi) by
-two separate eliminations.
+two separate eliminations with gf.det_rank, one on the transpose.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .budget import CLOSURE_CAP
 from .errors import CurveClassError, NotFinite, NotInvertible
-from .gf import is_prime
+from .gf import det_rank, field_create, is_prime
 from .jacobian import AbelianGroupStructure
 from .snf import (
     column_lattice_basis,
@@ -45,8 +45,8 @@ def _check_square(mat: Matrix, m: int) -> None:
         raise CurveClassError(f"generator is not a {m}x{m} matrix")
 
 
-def closure(generators: list, cap: int = CLOSURE_CAP) -> list[Matrix]:
-    """All elements of the group generated by the matrices; cap-guarded BFS."""
+def closure(generators: list) -> list[Matrix]:
+    """All elements of the group the matrices generate; BFS up to CLOSURE_CAP."""
     if not generators:
         raise CurveClassError("closure needs at least one generator")
     m = len(generators[0])
@@ -66,9 +66,9 @@ def closure(generators: list, cap: int = CLOSURE_CAP) -> list[Matrix]:
             for g in gens:
                 b = _freeze(mat_mul([list(r) for r in a], [list(r) for r in g]))
                 if b not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= CLOSURE_CAP:
                         raise NotFinite(
-                            f"closure exceeded the cap of {cap} elements"
+                            f"closure exceeded the cap of {CLOSURE_CAP} elements"
                         )
                     seen.add(b)
                     nxt.append(b)
@@ -195,30 +195,6 @@ def lemma51_check(module: GModule, p: int) -> dict:
 # mod-p engine
 
 
-def _modp_rank(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination over F_p."""
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for j in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][j], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][j]:
-                c = mat[i][j]
-                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 def invcoinv_dims(phi, p: int) -> tuple[int, int]:
     """dim ker(1 - phi) and dim coker(1 - phi) over F_p, phi square.
 
@@ -231,11 +207,10 @@ def invcoinv_dims(phi, p: int) -> tuple[int, int]:
     mat = _freeze(phi)
     m = len(mat)
     _check_square(mat, m)
+    field = field_create(p, 1)
     a = [[((1 if i == j else 0) - mat[i][j]) % p for j in range(m)] for i in range(m)]
     at = [[a[j][i] for j in range(m)] for i in range(m)]
-    dim_ker = m - _modp_rank(a, p)
-    dim_coker = m - _modp_rank(at, p)
-    return dim_ker, dim_coker
+    return m - det_rank(a, field)[1], m - det_rank(at, field)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ entry to the p-th power; the order of the product matters once m > 1
 
 This is polynomial in g, p and m and enumerates nothing.  Over a prime field
 f^((p-1)/2) comes from Kronecker substitution on Python ints; only exponents
-below gp enter A, so every product is truncated there.
+below gp enter A, so every product is truncated there.  The determinant and
+rank come from gf.det_rank, the package's one elimination over a field.
 """
 
 from __future__ import annotations
 
 from .curve import Curve
 from .errors import CurveClassError
-from .gf import Field, Poly
+from .gf import Field, Poly, det_rank
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -96,30 +97,6 @@ def frobenius_matrix(a: list[list[int]], field: Field) -> list[list[int]]:
         conj = [[field.pow_idx(x, p) for x in row] for row in conj]
         prod = mat_mul(conj, prod, field)
     return prod
-
-
-def det_rank(rows: list[list[int]], field: Field) -> tuple[int, int]:
-    """(det, rank) of a square matrix over the field, by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det, rank = 1, 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if m[r][col]), None)
-        if piv is None:
-            det = 0
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            det = field.neg_idx(det)
-        top = m[rank]
-        det = field.mul_idx(det, top[col])
-        inv = field.inv_idx(top[col])
-        for r in range(rank + 1, n):
-            if m[r][col]:
-                k = field.mul_idx(m[r][col], inv)
-                m[r] = [field.sub_idx(x, field.mul_idx(k, y)) for x, y in zip(m[r], top)]
-        rank += 1
-    return det, rank
 
 
 def hasse_witt_s(curve: Curve, h: int) -> int:

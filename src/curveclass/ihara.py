@@ -79,13 +79,13 @@ class QSqrtValue:
         """Sign of (self - threshold) for a rational threshold."""
         return QSqrtValue.of(self.a - Fraction(threshold), self.b, self.q).sign()
 
-    def approx(self, digits: int = DECIMAL_DIGITS) -> str:
+    def approx(self) -> str:
         ctx_prec = getcontext().prec
         try:
-            getcontext().prec = digits
-            val = _fraction_to_decimal(self.a, digits)
+            getcontext().prec = DECIMAL_DIGITS
+            val = _fraction_to_decimal(self.a)
             if self.b:
-                val += _fraction_to_decimal(self.b, digits) * Decimal(self.q).sqrt()
+                val += _fraction_to_decimal(self.b) * Decimal(self.q).sqrt()
             return str(+val)
         finally:
             getcontext().prec = ctx_prec
@@ -99,7 +99,7 @@ class QSqrtValue:
         }
 
 
-def _fraction_to_decimal(fr: Fraction, digits: int) -> Decimal:
+def _fraction_to_decimal(fr: Fraction) -> Decimal:
     return Decimal(fr.numerator) / Decimal(fr.denominator)
 
 
@@ -109,9 +109,6 @@ def degree_term(d: int, q: int) -> QSqrtValue:
         raise CurveClassError("degrees must be positive")
     if d % 2 == 0:
         return QSqrtValue.of(Fraction(d, q ** (d // 2) - 1), 0, q)
-    if _is_perfect_square(q):
-        s = math.isqrt(q)
-        return QSqrtValue.of(Fraction(d, s**d - 1), 0, q)
     c = q ** ((d - 1) // 2)
     den = c * c * q - 1
     return QSqrtValue.of(Fraction(d, den), Fraction(d * c, den), q)

@@ -89,6 +89,24 @@ def test_budget_flag_not_an_integer_exit_1(curve_file, capsys, command, value):
     assert err.startswith("error:") and f"--budget {value!r}" in err
 
 
+# every integer option reads its value the way --budget does
+INT_OPTIONS = {
+    "classify_p": (["classify", "{curve}", "--p", "abc"], "--p 'abc'"),
+    "points_max_degree": (["points", "{curve}", "--max-degree", "1.5"], "--max-degree '1.5'"),
+    "gmodule_random": (["gmodule", "--random", "x", "--p", "3"], "--random 'x'"),
+    "gmodule_seed": (["gmodule", "--random", "2", "--seed", "y", "--p", "3"], "--seed 'y'"),
+    "gmodule_p": (["gmodule", "--random", "2", "--p", "z"], "--p 'z'"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", INT_OPTIONS.values(), ids=INT_OPTIONS.keys())
+def test_int_option_not_an_integer_exit_1(curve_file, capsys, argv, flag):
+    # an input error (exit 1), not an argparse usage exit (2)
+    path = curve_file("e.json", curve_json(3, f=[0, 1, 0, 1]))
+    assert main([path if a == "{curve}" else a for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {flag} is not an integer\n"
+
+
 def test_points_text(curve_file, capsys):
     path = curve_file("p1.json", curve_json(2))
     assert main(["points", path, "--max-degree", "2"]) == 0

@@ -20,6 +20,7 @@ from curveclass.curve import _extension
 from curveclass.gf import (
     Field,
     _fp_is_irreducible,
+    det_rank,
     is_prime,
     mobius,
     monic_polys,
@@ -27,6 +28,7 @@ from curveclass.gf import (
     squarefree,
     x_poly,
 )
+from curveclass.snf import mat_det
 
 
 def test_canonical_moduli():
@@ -133,11 +135,16 @@ def test_index_digit_round_trip():
 
 
 def test_squares_and_roots():
-    # F_131 and F_243 are past the table limit, so their roots come from
-    # Tonelli-Shanks on digit arithmetic; the others read the log tables
+    # F_131 and F_243 are past the table limit: their squares come from
+    # digit arithmetic, and they build their tables on the first sqrt_idx
+    # call; the others read the log tables from the start
     for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2), (131, 1), (3, 5)]:
         k = field_create(p, m)
         squares = {k.mul_idx(a, a) for a in range(k.q)}
+        if k.q > 128:
+            assert k._exp is None
+            assert k.sqrt_idx(1) == 1
+            assert k._exp is not None
         for a in range(k.q):
             assert k.is_square_idx(a) == (a in squares)
             r = k.sqrt_idx(a)
@@ -145,6 +152,85 @@ def test_squares_and_roots():
                 assert r is not None and k.mul_idx(r, r) == a
             else:
                 assert r is None
+
+
+def _kernel_size(rows, k):
+    """#{v in k^n : rows v = 0}, by walking all of k^n."""
+    return sum(
+        all(_dot(row, v, k) == 0 for row in rows)
+        for v in itertools.product(range(k.q), repeat=len(rows))
+    )
+
+
+def _kernel_size_mod_p(rows, p):
+    """The same count over F_p in plain integer arithmetic."""
+    return sum(
+        all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in rows)
+        for v in itertools.product(range(p), repeat=len(rows))
+    )
+
+
+def _dot(row, v, k):
+    acc = 0
+    for x, y in zip(row, v):
+        acc = k.add_idx(acc, k.mul_idx(x, y))
+    return acc
+
+
+def _leibniz_det(rows, k):
+    """The determinant as a signed sum over permutations."""
+    det = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = k.mul_idx(term, rows[i][j])
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        det = k.sub_idx(det, term) if inversions % 2 else k.add_idx(det, term)
+    return det
+
+
+def _seeded_matrices(rng, n, count):
+    """Integer n x n matrices: dense ones, products of rank r <= n, and ones
+    with a zero top-left corner, so that elimination must swap rows."""
+    for _ in range(count):
+        r = rng.randrange(n + 1)
+        b = [[rng.randrange(-4, 5) for _ in range(r)] for _ in range(n)]
+        c = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(r)]
+        yield [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
+        dense = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        yield dense
+        yield [[0] + dense[0][1:]] + dense[1:]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131])
+def test_det_rank_over_prime_fields_seeded(p):
+    k = field_create(p, 1)
+    rng = random.Random(7000 + p)
+    for n in range(1, 6):
+        for mat in _seeded_matrices(rng, n, 12):
+            rows = [[x % p for x in row] for row in mat]
+            det, rank = det_rank(rows, k)
+            assert det == mat_det(mat) % p, (p, mat)
+            assert (det == 0) == (rank < n)
+            if p**n <= 10**4:
+                assert _kernel_size_mod_p(rows, p) == p ** (n - rank), (p, mat)
+
+
+def test_det_rank_over_f9_seeded():
+    k = field_create(3, 2)
+    rng = random.Random(9009)
+    for n in range(1, 4):
+        for _ in range(40):
+            r = rng.randrange(n + 1)
+            b = [[rng.randrange(9) for _ in range(r)] for _ in range(n)]
+            c = [[rng.randrange(9) for _ in range(n)] for _ in range(r)]
+            low = [[_dot(b[i], [c[t][j] for t in range(r)], k) for j in range(n)]
+                   for i in range(n)]
+            dense = [[rng.randrange(9) for _ in range(n)] for _ in range(n)]
+            for rows in (low, dense, [[0] + dense[0][1:]] + dense[1:]):
+                det, rank = det_rank(rows, k)
+                assert det == _leibniz_det(rows, k), rows
+                assert _kernel_size(rows, k) == 9 ** (n - rank), rows
 
 
 def test_trace_surjective_onto_prime_field():

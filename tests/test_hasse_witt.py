@@ -9,7 +9,9 @@ oracle's gates (where the oracle must no longer run) and at each gate.
 
 import hashlib
 import importlib
+import importlib.util
 import json
+import os
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from curveclass import (
     l_polynomial,
 )
 from curveclass import jacobian as jacobian_mod
+from curveclass.gf import det_rank
 from curveclass.hasse_witt import fp_power_truncated, hasse_witt_s
 from curveclass.jacobian import p_torsion_dim
 from util import E_Z4_F3, G2_X5PX, REV_F27, S2_F3, build
@@ -179,3 +182,13 @@ def test_zeta_over_budget_keeps_the_oracle(monkeypatch):
     assert rep.invariants["s"] == 0
     assert len(calls) == 1
     assert digest(rep) == "49f78b5d6f0f03b071302b0d986750fab8225a3fb3d16ab26f07462193ed72e9"
+
+
+def test_search_script_imports():
+    # main is guarded, so no search runs; every name the script takes from
+    # the package must still be where it looks
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "find_special_curves.py")
+    spec = importlib.util.spec_from_file_location("find_special_curves", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.det_rank is det_rank

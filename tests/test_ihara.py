@@ -25,6 +25,11 @@ def test_square_q_collapses_to_rational():
     assert t.b == 0 and t.a == Fraction(1)
     t = degree_term(3, 4)
     assert t.b == 0 and t.a == Fraction(3, 7)
+    # the odd-d rationalization d(1 + c sqrt q)/(c^2 q - 1) folds to d/(s^d - 1)
+    for s in (3, 5, 7):
+        for d in (1, 3, 5, 7):
+            t = degree_term(d, s * s)
+            assert t.b == 0 and t.a == Fraction(d, s**d - 1), (s, d)
 
 
 def test_sum_and_compare():
