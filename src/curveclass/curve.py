@@ -16,16 +16,20 @@ pole order is odd (ramified, conductor exponent m_P + 1) or the pole is gone
 
 Point counts over F_q run in F_q itself; over F_{q^n}, n > 1, they run in
 F_{q^n} built over its primitive modulus, with the coefficients of f and h
-embedded.  ``affine_count`` walks that field's exp/log tables, which are
-built by the first count and cached with the field.
+embedded.  f and h are defined over F_q, so a count is constant on the
+orbits of x -> x^q, and ``affine_count`` evaluates them once per orbit on
+that field's exp/log tables.  The tables and the orbit table
+(``Extension.orbits``) are built by the first count and cached with the
+field.
 
 Closed points of degree d use the same cached F_{q^d} as their residue
 fields, with x at a root of pi.  The monic irreducibles pi of degree d
 (``irreducibles``) are the keys of that field's root table, one per
-Frobenius orbit.  The square test is the parity of a log,
-and the square root is a table lookup.  In characteristic 2 the split test
-is the trace, and the y-values come from solving z^2 + z = u.  A residue
-returns to F_q[x]/(pi) by interpolating at the conjugates of the root.
+Frobenius orbit of length d in the same orbit table.  The square test is
+the parity of a log, and the square root is a table lookup.  In
+characteristic 2 the split test is the trace, and the y-values come from
+solving z^2 + z = u.  A residue returns to F_q[x]/(pi) by interpolating at
+the conjugates of the root.
 Validation has no budget, and the factors of h it meets can have large
 degree, so its square roots mod pi stay on Poly arithmetic.
 """
@@ -397,8 +401,10 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     """Number of points of the smooth projective model over F_{q^n}.
 
     The affine part is counted by ``affine_count`` on the exp/log tables of
-    F_{q^n}, which are built here on the first count over each extension;
-    the budget check bounds their size, 16 bytes per element.
+    F_{q^n}, one Horner evaluation per orbit of x -> x^q.  The tables and
+    the orbit arrays are built here on the first count over each extension
+    and kept with it; the budget check bounds their size, 16 bytes per
+    element for the tables plus 5 bytes per orbit.
     """
     if n < 1:
         raise CurveClassError("extension degree must be >= 1")
@@ -412,7 +418,7 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     ext = _extension(field, n)
     f = [ext.emb(c) for c in curve.model.f.coeffs]
     h = [ext.emb(c) for c in curve.model.h.coeffs]
-    return affine_count(ext.big.p, ext.big.m, ext.big, f, h) + inf
+    return affine_count(ext.big.p, ext.big.m, ext.big, f, h, ext.orbits()) + inf
 
 
 # ---------------------------------------------------------------------------

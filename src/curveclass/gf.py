@@ -25,9 +25,11 @@ Conventions used throughout the package:
 * Residue fields F_q[x]/(pi) are not a type of their own.  An Extension is
   F_{q^n} on its tables plus the embedding of F_q, and it stands in for
   F_q[x]/(pi) for every monic irreducible pi of degree n: x goes to a root
-  of pi, taken from a table built from the Frobenius orbits on logs.  The
+  of pi, taken from a table built on the Frobenius orbits on logs.  The
   keys of that table are all the monic irreducibles of degree n, so no
-  separate search for irreducible polynomials exists.
+  separate search for irreducible polynomials exists.  The same orbit
+  table (Extension.orbits) lets point counts over F_{q^n} evaluate once
+  per orbit.
 * Polynomials over F_q store a tuple of element indices, low degree first,
   with no trailing zeros.  The zero polynomial has an empty tuple and its
   degree is the NEG_INF sentinel, never a number.
@@ -948,6 +950,11 @@ class Extension:
     """F_{q^n} over the base field F_q, as a tabulated Field ``big`` plus the
     embedding of F_q element indices.
 
+    ``orbits`` is its one table of the orbits of Frobenius x -> x^q on
+    logs, two compact arrays built on first use.  Point counts weight one
+    evaluation per orbit by its length, and the root table below is built
+    on the orbits of length n.
+
     It also serves as F_q[x]/(pi) for every monic irreducible pi of degree
     n: x maps to a root alpha of pi (``root``), a residue goes in by
     Horner's rule at alpha (``evaluate``) and comes back by interpolating at
@@ -955,12 +962,12 @@ class Extension:
     is a table lookup.
     """
 
-    __slots__ = ("base", "n", "big", "_rho", "_unemb", "_roots")
+    __slots__ = ("base", "n", "big", "_rho", "_unemb", "_orbits", "_roots")
 
     def __init__(self, base: Field, n: int, big: Field):
         self.base, self.n, self.big = base, n, big
         big.tables()
-        self._unemb = self._roots = None
+        self._unemb = self._orbits = self._roots = None
         # the image of the base field's t: prime-field constants need none
         self._rho = None
         if n > 1 and base.m > 1:
@@ -987,35 +994,75 @@ class Extension:
             self._unemb = {self.emb(c): c for c in range(self.base.q)}
         return self._unemb.get(idx, -1)
 
+    def orbits(self) -> tuple[array, array]:
+        """(ks, lens): the orbits of Frobenius x -> x^q on F_{q^n}^*, built
+        on first use.
+
+        Frobenius acts on logs as k -> k*q mod (q^n - 1), which rotates the
+        n base-q digits of k, so the orbits are the necklaces of n digits.
+        ks[i] is the least log of the i-th orbit, in increasing order, and
+        lens[i] its length, a divisor of n; n < 31, since the logs fit an
+        array('i').  An orbit of length e < n lies in the subfield F_{q^e}.
+
+        The walk is the Fredricksen-Kessler-Maiorana algorithm.  Without its
+        trailing digits q - 1, k is a word w of i digits; adding one to w
+        and repeating the word through n digits, (w + 1) * q^n // (q^i - 1),
+        gives the next prenecklace, a necklace of period i exactly when i
+        divides n.  The last one, n digits q - 1, is the log q^n - 1 = 0
+        again (the formula gives q^n) and ends the walk.
+        """
+        if self._orbits is None:
+            n, q, Q = self.n, self.base.q, self.big.q
+            N = Q - 1
+            dens = [q**i - 1 for i in range(n + 1)]
+            # the word 0...0 is log 0, the element 1, an orbit of its own
+            ks, lens = array("i", [0]), array("B", [1])
+            k = 0
+            while True:
+                w, i = k, n
+                while w % q == q - 1:
+                    w //= q
+                    i -= 1
+                k = (w + 1) * Q // dens[i]
+                if k >= N:
+                    break
+                if i == n:
+                    # raising the last digit gives necklaces of period n up
+                    # to the last digit q - 1: take that run in one step
+                    end = min(k - k % q + q, N)
+                    ks.extend(range(k, end))
+                    lens.extend(itertools.repeat(n, end - k))
+                    k = end - 1
+                elif n % i == 0:
+                    ks.append(k)
+                    lens.append(i)
+            if sum(lens) != N:
+                raise CurveClassError("internal: Frobenius orbit lengths do not sum to q^n - 1")
+            self._orbits = ks, lens
+        return self._orbits
+
     def roots(self) -> dict[tuple[int, ...], int]:
         """{coefficients of pi: a root of pi} over every monic irreducible pi
         of degree n, built on first use.
 
-        The roots of pi form one orbit of Frobenius, which acts on logs as
-        k -> k*q mod (q^n - 1); pi is the product of x - g^k over its orbit.
+        The roots of pi form one orbit of length n in ``orbits``; pi is the
+        product of x - g^k over it.
         """
         if self._roots is None:
             big, n, q = self.big, self.n, self.base.q
             exp = big.tables()[0]
             N = big.q - 1
             mul, add = big.mul_idx, big.add_idx
-            seen = bytearray(N)
             # 0 is the one root without a log; it is rational, so only x has it
             table = {(0, 1): 0} if n == 1 else {}
-            for k in range(N):
-                if seen[k]:
-                    continue
-                orbit = []
-                j = k
-                while not seen[j]:
-                    seen[j] = 1
-                    orbit.append(exp[j])
-                    j = j * q % N
-                if len(orbit) < n:
+            for k, length in zip(*self.orbits()):
+                if length < n:
                     continue  # k lies in a proper subfield
                 coeffs = [1]  # times x - r for each conjugate r, low degree first
-                for r in orbit:
-                    r = big.neg_idx(r)
+                j = k
+                for _ in range(n):
+                    r = big.neg_idx(exp[j])
+                    j = j * q % N
                     coeffs = [mul(r, coeffs[0])] + [
                         add(coeffs[i - 1], mul(r, coeffs[i])) for i in range(1, len(coeffs))
                     ] + [1]

@@ -36,17 +36,25 @@ def _is_perfect_square(q: int) -> bool:
 
 @dataclass(frozen=True)
 class QSqrtValue:
-    """The number a + b*sqrt(q), coefficients exact rationals."""
+    """The number a + b*sqrt(q), coefficients exact rationals.
+
+    Construction makes a and b Fractions and, for square q, folds b*sqrt(q)
+    into a, so b is 0 whenever sqrt(q) is rational.
+    """
 
     a: Fraction
     b: Fraction
     q: int
 
+    def __post_init__(self):
+        a, b = Fraction(self.a), Fraction(self.b)
+        if b and _is_perfect_square(self.q):
+            a, b = a + b * math.isqrt(self.q), Fraction(0)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
     @staticmethod
     def of(a, b, q: int) -> "QSqrtValue":
-        a, b = Fraction(a), Fraction(b)
-        if b and _is_perfect_square(q):
-            a, b = a + b * math.isqrt(q), Fraction(0)
         return QSqrtValue(a, b, q)
 
     def __add__(self, other: "QSqrtValue") -> "QSqrtValue":
@@ -59,9 +67,6 @@ class QSqrtValue:
         a, b, q = self.a, self.b, self.q
         if b == 0:
             return (a > 0) - (a < 0)
-        if _is_perfect_square(q):  # normalized values never get here
-            v = a + b * math.isqrt(q)
-            return (v > 0) - (v < 0)
         if a == 0:
             return 1 if b > 0 else -1
         if a > 0 and b > 0:

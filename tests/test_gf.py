@@ -390,6 +390,35 @@ def test_root_table_holds_every_irreducible():
             assert ext.evaluate(pi, ext.root(pi)) == 0
 
 
+def test_orbit_table_against_brute_force():
+    # the orbits of x -> x^q, with x^q by repeated digit multiplication, against
+    # the table's least logs and lengths
+    for p, m, n in [(2, 1, 1), (5, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 4), (5, 1, 3),
+                    (7, 1, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2), (2, 3, 2)]:
+        k = field_create(p, m)
+        ext = _extension(k, n)
+        big = ext.big
+        log = big.tables()[1]
+
+        def frob(x):
+            y = x
+            for _ in range(k.q - 1):
+                y = big.index_of(big._mul_digits_raw(big.digits(y), big.digits(x)))
+            return y
+
+        orbits = set()
+        for x in range(1, big.q):
+            orbit = [x]
+            while frob(orbit[-1]) != x:
+                orbit.append(frob(orbit[-1]))
+            orbits.add(frozenset(log[y] for y in orbit))
+        ks, lens = ext.orbits()
+        assert list(zip(ks, lens)) == sorted((min(o), len(o)) for o in orbits), (p, m, n)
+        assert all(n % e == 0 for e in lens)
+        # for n = 1 the irreducible x has the root 0, which has no log
+        assert list(lens).count(n) + (n == 1) == necklace_count(k.q, n)
+
+
 def test_artin_schreier_solve():
     k = field_create(2, 1)
     pi = Poly(k, [1, 1, 0, 1])  # x^3+x+1

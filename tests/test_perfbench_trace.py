@@ -25,5 +25,12 @@ def test_worker_trace_reports_layers():
     assert ready["ready"] is True
     assert result["status"] == "ok", result["error"]
     layers = result["trace"]["layers"]
-    for name in ("gf.irreducibles", "gf.field_create", "curve.closed_points"):
+    for name in (
+        "gf.irreducibles",
+        "gf.field_create",
+        "curve.closed_points",
+        "counting.affine_count",
+        "curve.count_points",
+        "zeta.l_polynomial",
+    ):
         assert name in layers, sorted(layers)
