@@ -18,9 +18,11 @@ first-class outcome, reported without any heuristic guess.
 The invariant s = dim_{F_p} Pic^0(F_q)[p] is filled in only inside the
 Jacobian oracle's gates (``jacobian.oracle_gate``), and "unknown" outside
 them.  In characteristic p (cases 2, 4, 5) it comes from the Hasse–Witt
-matrix, whose determinant is checked against h mod p; the oracle still
-enumerates the class group for case 6 and when the zeta layer hit the
-budget, and there its order is checked against L(1).
+matrix, whose determinant is checked against h mod p.  In case 6 it comes
+from a walk of the p-Sylow subgroup (``jacobian.p_sylow_rank``), which
+checks h*x = 0 on every element it walks and that the subgroup has exactly
+p^{v_p(h)} elements.  The oracle enumerates the whole class group only when
+the zeta layer hit the budget, so h is unknown.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
 from .gf import is_prime
 from .hasse_witt import hasse_witt_s
 from .ihara import ihara_sum_exceeds
-from .jacobian import jacobian_group, oracle_gate, p_torsion_dim
+from .jacobian import jacobian_group, oracle_gate, p_sylow_rank, p_torsion_dim
 from .zeta import l_polynomial, pic_p_nontrivial
 
 VERDICT_TRUE = "KPI1_TRUE"
@@ -217,21 +219,6 @@ def _zeta_invariants(curve: Curve, p: int, cap: int, inv: dict, required: bool):
     return pic
 
 
-def _oracle_s(curve: Curve, p: int, h: int | None):
-    """s from the Jacobian oracle, or None where it does not run.
-
-    h is the class number L(1) from the zeta layer (None when that layer hit
-    the budget); the oracle's group order must agree with it.
-    """
-    try:
-        structure = jacobian_group(curve)
-    except (OracleUnsupportedModel, BudgetExceeded):
-        return None
-    if h is not None and structure.order != h:
-        raise CurveClassError("internal: oracle order disagrees with L(1)")
-    return p_torsion_dim(structure, p)
-
-
 def _char_p_s(curve: Curve, p: int, h: int | None):
     """s in characteristic p, or None outside the oracle's gates.
 
@@ -239,9 +226,9 @@ def _char_p_s(curve: Curve, p: int, h: int | None):
     h mod p; only when the zeta layer hit the budget (h is None) does the
     oracle enumerate the class group instead.
     """
-    if h is None:
-        return _oracle_s(curve, p, h)
     try:
+        if h is None:
+            return p_torsion_dim(jacobian_group(curve), p)
         oracle_gate(curve, h)
     except (OracleUnsupportedModel, BudgetExceeded):
         return None
@@ -369,9 +356,11 @@ def _classify_prime_to_char(curve, S_pts, T_pts, p, cap) -> ClassificationReport
     if pic is False:
         inv["s"] = 0
     elif pic:
-        s = _oracle_s(curve, p, inv["h"])
-        if s is not None:
-            inv["s"] = s
+        # case 6 with p | h: s from the p-Sylow walk, inside the oracle's gates
+        try:
+            inv["s"] = p_sylow_rank(curve, p, inv["h"])
+        except (OracleUnsupportedModel, BudgetExceeded):
+            pass
     if not mu or pic:
         return ClassificationReport(
             case=6,

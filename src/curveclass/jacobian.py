@@ -14,15 +14,20 @@ The v come from square roots of f modulo each prime power pi^e dividing u:
 the root mod pi is a table lookup in the cached F_{q^d}, d = deg pi, and
 Hensel steps lift it with Poly arithmetic.
 
-``classify`` calls it for case 6 (p different from the characteristic) and
-when the zeta layer hit the budget; the ``oracle`` subcommand and the tests
-use it as the reference.  In characteristic p, s comes from the Hasse–Witt
-matrix instead (``hasse_witt``), inside the same gates (``oracle_gate``).
+``classify`` enumerates the whole group only when the zeta layer hit the
+budget (h unknown); the ``oracle`` subcommand, ``scripts/`` and the tests
+use it as the reference.  For case 6 (p different from the characteristic)
+``p_sylow_rank`` walks the same pairs lazily and stops as soon as the
+p-Sylow subgroup is full, since h is known from L(1).  In characteristic
+p, s comes from the Hasse–Witt matrix instead (``hasse_witt``).  All three
+run inside the same gates (``oracle_gate``).
 
-Every run re-verifies the group axioms on the enumerated set: identity and
-inverses on all elements, plus seeded random closure and associativity
-checks.  The torsion step adds closure under x -> l*x on every element and
-checks that each l-Sylow subgroup has exactly l^{v_l(N)} elements.
+Every enumeration re-verifies the group axioms on the enumerated set:
+identity and inverses on all elements, plus seeded random closure and
+associativity checks.  The torsion step adds closure under x -> l*x on
+every element and checks that each l-Sylow subgroup has exactly
+l^{v_l(N)} elements.  The walk checks h*x = 0 on each element it takes and
+that the p-Sylow subgroup it builds has exactly p^{v_p(h)} elements.
 """
 
 from __future__ import annotations
@@ -113,15 +118,18 @@ def _sqrt_mod(f: Poly, u: Poly) -> list[Poly]:
     return sorted(cur, key=Poly.sort_key)
 
 
-def _mumford_elements(f: Poly, g: int) -> list[tuple[Poly, Poly]]:
+def _mumford_walk(f: Poly, g: int):
+    """The reduced Mumford pairs, identity first, then by deg u and u."""
     field = f.field
-    one = Poly(field, (1,))
-    out: list[tuple[Poly, Poly]] = [(one, Poly(field))]
+    yield (Poly(field, (1,)), Poly(field))
     for d in range(1, g + 1):
         for u in monic_polys(field, d):
             for v in _sqrt_mod(f, u):
-                out.append((u, v))
-    return out
+                yield (u, v)
+
+
+def _mumford_elements(f: Poly, g: int) -> list[tuple[Poly, Poly]]:
+    return list(_mumford_walk(f, g))
 
 
 def _compose(D1, D2, f: Poly, g: int):
@@ -303,3 +311,57 @@ def jacobian_group(curve: Curve) -> AbelianGroupStructure:
     _group_sanity(elements, f, g, identity)
     inv = _invariant_factors(elements, f, g, identity)
     return AbelianGroupStructure(order=len(elements), invariant_factors=inv)
+
+
+def p_sylow_rank(curve: Curve, p: int, h: int) -> int:
+    """dim_{F_p} Pic^0(F_q)[p], given the class number h = #Pic^0(F_q).
+
+    Inside the oracle's gates, the reduced Mumford pairs are walked lazily
+    in ``_mumford_elements`` order and each x is mapped to y = (h/p^a)*x,
+    p^a = p^{v_p(h)}.  The subgroup these y generate grows one coset of
+    each new y at a time until it holds p^a elements: that is the p-Sylow
+    subgroup P, and the answer is log_p #{y in P : p*y = 0}.  Every walked
+    x must satisfy h*x = 0, and P must reach exactly p^a elements before
+    the walk runs out.
+    """
+    oracle_gate(curve, h)
+    size, m = 1, h
+    while m % p == 0:
+        m //= p
+        size *= p
+    if size == 1:
+        return 0
+    if isinstance(curve.model, ProjectiveLine):
+        raise CurveClassError("internal: the walk ran out before the p-Sylow subgroup was full")
+    f = curve.model.f
+    g = curve.genus
+    walk = _mumford_walk(f, g)
+    identity = next(walk)
+    sylow = {identity}
+    for x in walk:
+        y = _scalar(m, x, f, g, identity)
+        if _scalar(size, y, f, g, identity) != identity:
+            raise CurveClassError("internal: h*x is not zero on a walked element")
+        base = list(sylow)
+        c = y
+        while c not in sylow:
+            # the coset P + k*y, disjoint from P + j*y for j < k
+            grown = len(sylow) + len(base)
+            sylow.update(_compose(z, c, f, g) for z in base)
+            if len(sylow) != grown:
+                raise CurveClassError("internal: cosets of the p-Sylow walk overlap")
+            if len(sylow) > size:
+                raise CurveClassError("internal: the p-Sylow subgroup outgrew p^a")
+            c = _compose(c, y, f, g)
+        if len(sylow) == size:
+            break
+    else:
+        raise CurveClassError("internal: the walk ran out before the p-Sylow subgroup was full")
+    killed = sum(1 for y in sylow if _scalar(p, y, f, g, identity) == identity)
+    s = 0
+    while killed % p == 0:
+        killed //= p
+        s += 1
+    if killed != 1 or s == 0:
+        raise CurveClassError("internal: the p-torsion of the p-Sylow subgroup must be p^s > 1")
+    return s

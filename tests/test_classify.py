@@ -21,7 +21,6 @@ from curveclass import (
     resolve_point_ids,
 )
 from curveclass.errors import BudgetExceeded, CurveClassError
-from curveclass.jacobian import AbelianGroupStructure
 from util import E_H3_F3, E_H6_F3, E_Z4_F3, G2_X5PX, build
 
 
@@ -99,6 +98,7 @@ def test_case1_never_computes_zeta(monkeypatch):
 
     monkeypatch.setattr(classify_mod, "l_polynomial", boom)
     monkeypatch.setattr(classify_mod, "jacobian_group", boom)
+    monkeypatch.setattr(classify_mod, "p_sylow_rank", boom)
     rng = random.Random(0xCA5E1)
     pool = [
         build(2),
@@ -168,16 +168,20 @@ def test_oracle_order_checked_against_class_number(monkeypatch):
         run(build(3, f=list(E_Z4_F3)), 3)
     monkeypatch.setattr(hasse_witt_mod, "frobenius_matrix", real_frob)
 
-    # away from the characteristic a wrong oracle order disagrees with L(1)
-    real = classify_mod.jacobian_group
+    # away from the characteristic the p-Sylow walk checks a wrong h: with
+    # h*p the 2-Sylow subgroup never reaches 2^{v_2(h) + 1} elements
+    def h_times_p(curve, budget=None):
+        return SimpleNamespace(class_number=real_lp(curve, budget).class_number * 2)
 
-    def off_by_one(curve):
-        s = real(curve)
-        return AbelianGroupStructure(order=s.order + 1, invariant_factors=s.invariant_factors)
-
-    monkeypatch.setattr(classify_mod, "jacobian_group", off_by_one)
-    with pytest.raises(CurveClassError, match="disagrees with L"):
+    monkeypatch.setattr(classify_mod, "l_polynomial", h_times_p)
+    with pytest.raises(CurveClassError, match="internal: the walk ran out"):
         run(build(3, f=list(G2_X5PX)), 2)  # case 6: mu_2 in F_3 and 2 | h
+    # ... and h + 1 = 13 does not kill the walked elements; it is odd, so
+    # it is tried with p = 13 (case 6 without mu_13, as 13 | h + 1)
+    monkeypatch.setattr(classify_mod, "l_polynomial", h_plus_one)
+    with pytest.raises(CurveClassError, match=r"internal: h\*x is not zero"):
+        run(build(3, f=list(G2_X5PX)), 13)
+    monkeypatch.setattr(classify_mod, "l_polynomial", real_lp)
 
     # ... and the check is skipped when the zeta layer hit the budget
     def over_budget(*a, **k):

@@ -168,6 +168,21 @@ def test_order_cap_gate(monkeypatch):
     assert digest(rep) == "65d7e63973a92e365c5df280572494106a305c3269277ea48e2da12f951501b7"
 
 
+def test_order_cap_gate_case6(monkeypatch):
+    # the case-6 p-Sylow walk sits behind the same gate: with the cap below
+    # h = 12, s stays unknown and not one Mumford pair is walked
+    def boom(*a, **k):
+        raise AssertionError("p-Sylow walk ran past the order cap")
+
+    monkeypatch.setattr(jacobian_mod, "ORACLE_ORDER_CAP", 11)
+    monkeypatch.setattr(jacobian_mod, "_mumford_walk", boom)
+    rep = classify(MarkedInstance(build(3, f=G2_X5PX), [], [], 2))
+    assert rep.case == 6
+    assert rep.invariants["h"] == 12
+    assert rep.invariants["s"] == "unknown"
+    assert digest(rep) == "4c6eee7878cbf71730c61aa92ff9fcb73e557db46c3a9e25518b168df0313946"
+
+
 def test_zeta_over_budget_keeps_the_oracle(monkeypatch):
     calls = []
     real = classify_mod.jacobian_group

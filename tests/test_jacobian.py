@@ -12,7 +12,7 @@ from curveclass import (
 )
 from curveclass import jacobian as jacobian_mod
 from curveclass.gf import prime_factors
-from curveclass.jacobian import p_torsion_dim
+from curveclass.jacobian import p_sylow_rank, p_torsion_dim
 from util import (
     E_33_F7,
     E_9_F7,
@@ -151,6 +151,66 @@ def test_invariant_factor_chain():
             if i + 1 < len(fac):
                 assert fac[i + 1] % d == 0
         assert prod == s.order
+
+
+def test_p_sylow_walk_matches_enumeration_seeded():
+    # the walk's s against the full oracle's, for every prime l | h, on
+    # seeded odd-degree curves and on pinned groups: Z/9 against (Z/3)^2,
+    # and (Z/6)^2 for both of its primes
+    rng = random.Random(0x5710)
+    shapes = [(3, 1, 1), (3, 1, 2), (5, 1, 1), (5, 1, 2),
+              (7, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2)]
+    curves = [_random_odd_degree_curve(rng, p, m, g) for p, m, g in shapes * 2]
+    curves += [build(7, f=E_9_F7), build(7, f=E_33_F7), build(5, f=G2_X5PX)]
+    dims = set()
+    for c in curves:
+        h = l_polynomial(c).class_number
+        structure = jacobian_group(c)
+        assert structure.order == h
+        for l in prime_factors(h):
+            want = p_torsion_dim(structure, l)
+            assert p_sylow_rank(c, l, h) == want, (c.field.q, c.model.f, l)
+            dims.add(want)
+    assert dims >= {1, 2}
+    assert p_sylow_rank(build(7, f=E_9_F7), 3, 9) == 1
+    assert p_sylow_rank(build(7, f=E_33_F7), 3, 9) == 2
+    assert p_sylow_rank(build(5, f=G2_X5PX), 2, 36) == 2
+    assert p_sylow_rank(build(5, f=G2_X5PX), 3, 36) == 2
+    # l coprime to h: the Sylow subgroup is trivial and nothing is walked
+    assert p_sylow_rank(build(5, f=G2_X5PX), 5, 36) == 0
+
+
+def test_p_sylow_walk_checks(monkeypatch):
+    # a walk capped one element short of the one that fills the Sylow
+    # subgroup runs out, and h + 1 fails h*x = 0 on the first element walked
+    real = jacobian_mod._mumford_walk
+    for q, fc, l in [(7, E_9_F7, 3), (7, E_33_F7, 3), (5, G2_X5PX, 2), (5, G2_X5PX, 3)]:
+        c = build(q, f=fc)
+        h = l_polynomial(c).class_number
+        pulled = []
+
+        def counting(f, g):
+            for x in real(f, g):
+                pulled.append(x)
+                yield x
+
+        monkeypatch.setattr(jacobian_mod, "_mumford_walk", counting)
+        p_sylow_rank(c, l, h)
+        need = len(pulled)
+
+        def capped(f, g):
+            for i, x in enumerate(real(f, g)):
+                if i == need - 1:
+                    return
+                yield x
+
+        monkeypatch.setattr(jacobian_mod, "_mumford_walk", capped)
+        with pytest.raises(CurveClassError, match="internal: the walk ran out"):
+            p_sylow_rank(c, l, h)
+        monkeypatch.setattr(jacobian_mod, "_mumford_walk", real)
+        for k in prime_factors(h + 1):
+            with pytest.raises(CurveClassError, match=r"internal: h\*x is not zero"):
+                p_sylow_rank(c, k, h + 1)
 
 
 def test_unsupported_models():

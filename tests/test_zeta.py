@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from curveclass import (
     LPolynomial,
     class_number,
     count_points,
+    field_create,
     l_polynomial,
     pic_p_nontrivial,
 )
@@ -113,3 +115,65 @@ def test_json_shape():
         "coefficients": [1, 0, 3],
         "class_number": 4,
     }
+
+
+# ---------------------------------------------------------------------------
+# identities that hold in every model of the fields involved
+
+
+def _random_model(rng, p, m, degree):
+    # squarefree f of the given degree with a random (not only monic) lead
+    q = p**m
+    while True:
+        f = [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]
+        try:
+            return build(p, m, f=f)
+        except CurveClassError:
+            continue
+
+
+def _subfield_map(p, m, n):
+    # F_{p^m} -> F_{p^n} by a root of the smaller modulus, found by search
+    # with the larger field's own arithmetic (not through Extension)
+    small, big = field_create(p, m), field_create(p, n)
+
+    def horner(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = big.add_idx(big.mul_idx(acc, x), c)
+        return acc
+
+    root = next(r for r in range(big.q) if horner(small.modulus, r) == 0)
+    return lambda c: horner(small.digits(c), root)
+
+
+def test_quadratic_twist_is_l_of_minus_u_seeded():
+    # y^2 = c*f with c a non-square has L(-u): a_i changes sign with i
+    rng = random.Random(0x7157)
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]:
+        field = field_create(p, m)
+        c = next(x for x in range(1, field.q) if not field.is_square_idx(x))
+        for degree in (3, 4, 5, 6):
+            curve = _random_model(rng, p, m, degree)
+            twist = build(p, m, f=[field.mul_idx(c, a) for a in curve.model.f.coeffs])
+            want = tuple((-1) ** i * a for i, a in enumerate(l_polynomial(curve).coeffs))
+            assert l_polynomial(twist).coeffs == want, (p, m, curve.model.f.coeffs)
+
+
+def test_base_change_is_l_of_u_times_l_of_minus_u_seeded():
+    # over F_{q^2} the same equation has L(u) * L(-u), read in u^2; F_9
+    # goes to F_81 through a root of its modulus found by search
+    rng = random.Random(0xBA5E)
+    cases = [(p, 1, d) for p in (3, 5, 7) for d in (3, 4, 5, 6)]
+    cases += [(p, 1, d) for p in (11, 13) for d in (3, 4)] + [(3, 2, 3), (3, 2, 4)]
+    for p, m, degree in cases:
+        curve = _random_model(rng, p, m, degree)
+        up = _subfield_map(p, m, 2 * m)
+        lifted = build(p, 2 * m, f=[up(a) for a in curve.model.f.coeffs])
+        a = l_polynomial(curve).coeffs
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(a):
+                prod[i + j] += x * y * (-1) ** j
+        assert all(x == 0 for x in prod[1::2])
+        assert l_polynomial(lifted).coeffs == tuple(prod[::2]), (p, m, curve.model.f.coeffs)
