@@ -12,6 +12,11 @@ table; which arithmetic gets computed depends on the case:
 * characteristic different from p: only the unmarked projective case is in
   scope; the verdict needs mu_p(F) and p | h.
 
+A marked point enters only through its degree, so no closed point is built:
+an id d{D}#{k} exists exactly when k is below the number of finite closed
+points of degree D, which ``curve.closed_point_counts`` takes from the point
+counts N_e, e | D, by Moebius inversion (``resolve_point_degrees``).
+
 Verdicts are KPI1_TRUE / KPI1_FALSE / UNDETERMINED; UNDETERMINED is a
 first-class outcome, reported without any heuristic guess.
 
@@ -32,7 +37,9 @@ import re
 from dataclasses import dataclass
 
 from .budget import resolve_budget
-from .curve import ClosedPoint, Curve, closed_points
+from .curve import Curve, closed_point_counts
+# perfbench's --trace wraps classify.closed_points by name (ROADMAP item 9)
+from .curve import closed_points  # noqa: F401
 from .errors import (
     BudgetExceeded,
     CharacteristicClash,
@@ -74,7 +81,7 @@ CASE_TAGS = {
     7: "thm1.4(remaining)",
 }
 
-_ID_RE = re.compile(r"^d([1-9][0-9]*)#(?:inf)?([0-9]+)$")
+_ID_RE = re.compile(r"^d([1-9][0-9]*)#(inf)?([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -169,24 +176,38 @@ def euler_bookkeeping(s: int, t: int, h1: int) -> dict:
     }
 
 
-def resolve_point_ids(curve: Curve, ids, budget: int | None = None) -> list[ClosedPoint]:
-    """Map closed-point ids to points, enumerating up to the largest degree."""
+def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[int]:
+    """Degrees of the closed points named by ids, in sorted id order.
+
+    No point is built: d{D}#{k} names a point exactly when k, written without
+    a leading zero, is below the number of finite closed points of degree D
+    (``closed_point_counts``), and d{D}#inf{k} must be the id of a place at
+    infinity.  Every id is parsed, and the budget for the largest degree
+    checked, before any arithmetic; the first unknown id in sorted order is
+    reported.
+    """
     wanted = sorted(set(ids))
     if not wanted:
         return []
-    max_degree = 0
+    parsed = []
     for pid in wanted:
         mt = _ID_RE.match(pid)
         if not mt:
             raise UnknownClosedPoint(f"malformed closed-point id {pid!r}")
-        max_degree = max(max_degree, int(mt.group(1)))
-    pts = closed_points(curve, max_degree, budget)
-    by_id = {pt.id: pt for pt in pts}
+        parsed.append((pid, int(mt.group(1)), mt.group(2), mt.group(3)))
+    counts = closed_point_counts(curve, max(d for _, d, _, _ in parsed), budget)
+    infinity = {pt.id for pt in curve.infinity}
     out = []
-    for pid in wanted:
-        if pid not in by_id:
+    for pid, d, inf, k in parsed:
+        if inf:
+            known = pid in infinity
+        else:
+            # canonical decimals compare as (length, digits); k may be long
+            count = str(counts[d])
+            known = (k == "0" or k[0] != "0") and (len(k), k) < (len(count), count)
+        if not known:
             raise UnknownClosedPoint(f"no closed point with id {pid!r}")
-        out.append(by_id[pid])
+        out.append(d)
     return out
 
 
@@ -242,16 +263,16 @@ def classify(instance: MarkedInstance, budget: int | None = None) -> Classificat
     if instance.S & instance.T:
         raise InconsistentInput("S and T must be disjoint")
     cap = resolve_budget(budget)
-    S_pts = resolve_point_ids(curve, instance.S, cap)
-    T_pts = resolve_point_ids(curve, instance.T, cap)
+    S_degrees = resolve_point_degrees(curve, instance.S, cap)
+    T_degrees = resolve_point_degrees(curve, instance.T, cap)
     if curve.field.p == p:
-        return _classify_char_p(curve, S_pts, T_pts, p, cap)
-    return _classify_prime_to_char(curve, S_pts, T_pts, p, cap)
+        return _classify_char_p(curve, S_degrees, T_degrees, p, cap)
+    return _classify_prime_to_char(curve, S_degrees, T_degrees, p, cap)
 
 
-def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
+def _classify_char_p(curve, S_degrees, T_degrees, p, cap) -> ClassificationReport:
     inv = _blank_invariants(curve)
-    if S_pts:
+    if S_degrees:
         # ramification allowed somewhere: true with cd exactly 1, and no
         # zeta/class-group arithmetic is consulted at all
         return ClassificationReport(
@@ -264,7 +285,7 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
             euler=None,
             note=None,
         )
-    if not T_pts:
+    if not T_degrees:
         # unmarked projective curve: true with cd <= 2; invariants are
         # enrichment only, filled in when cheap and supported
         euler = None
@@ -284,14 +305,14 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
             note=None,
         )
     pic = _zeta_invariants(curve, p, cap, inv, required=True)
-    degrees = sorted(pt.degree for pt in T_pts)
+    degrees = sorted(T_degrees)
     if not pic:
         # p-part of the class group vanishes: pi1 is cyclic of order p^r
         inv["s"] = 0
         r = fundamental_group_case(degrees, p)
         h1 = 0 if r == 0 else 1
-        euler = euler_bookkeeping(0, len(T_pts), h1)
-        if len(T_pts) == 1 and degrees[0] % p != 0:
+        euler = euler_bookkeeping(0, len(degrees), h1)
+        if len(degrees) == 1 and degrees[0] % p != 0:
             return ClassificationReport(
                 case=3,
                 verdict=VERDICT_TRUE,
@@ -343,8 +364,8 @@ def _classify_char_p(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
     )
 
 
-def _classify_prime_to_char(curve, S_pts, T_pts, p, cap) -> ClassificationReport:
-    if S_pts or T_pts:
+def _classify_prime_to_char(curve, S_degrees, T_degrees, p, cap) -> ClassificationReport:
+    if S_degrees or T_degrees:
         raise UnsupportedCase(
             "marked or punctured curves away from the characteristic are out of scope"
         )

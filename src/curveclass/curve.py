@@ -53,6 +53,7 @@ from .gf import (
     Poly,
     field_create,
     is_json_int,
+    mobius,
     poly_extgcd,
     poly_factor,
     poly_gcd,
@@ -425,6 +426,43 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
 # closed points
 
 
+def _degree_budget(field: Field, max_degree: int, budget: int | None) -> int:
+    """The resolved budget, once q^d fits it for every d <= max_degree."""
+    if max_degree < 1:
+        raise CurveClassError("max_degree must be >= 1")
+    cap = resolve_budget(budget)
+    size = 1
+    for d in range(1, max_degree + 1):
+        size *= field.q
+        if size > cap:
+            raise BudgetExceeded(f"q^d = {size} exceeds budget {cap}")
+    return cap
+
+
+def closed_point_counts(
+    curve: Curve, max_degree: int, budget: int | None = None
+) -> list[int]:
+    """Entry D is the number of finite closed points of degree D (entry 0 is 0).
+
+    Every closed point of degree D has D points over F_{q^e} when D | e, so
+    by Moebius inversion there are (1/D) * sum_{e | D} mu(D/e) * N_e closed
+    points of degree D; the places at infinity of that degree are taken off.
+    The N_e come from ``count_points``, so nothing is enumerated.  The same
+    budget check as ``closed_points`` runs before any work.
+    """
+    cap = _degree_budget(curve.field, max_degree, budget)
+    n = [0] + [count_points(curve, e, cap) for e in range(1, max_degree + 1)]
+    counts = [0]
+    for d in range(1, max_degree + 1):
+        total = sum(mobius(d // e) * n[e] for e in range(1, d + 1) if d % e == 0)
+        if total % d:
+            raise CurveClassError(
+                f"internal: point counts give {total}/{d} closed points of degree {d}"
+            )
+        counts.append(total // d - sum(1 for pt in curve.infinity if pt.degree == d))
+    return counts
+
+
 def closed_points(
     curve: Curve, max_degree: int, budget: int | None = None
 ) -> list[ClosedPoint]:
@@ -434,15 +472,8 @@ def closed_points(
     and labelled d{D}#{k}; the points above x = infinity close each degree
     block with ids d{D}#inf{slot}.
     """
-    if max_degree < 1:
-        raise CurveClassError("max_degree must be >= 1")
-    cap = resolve_budget(budget)
+    cap = _degree_budget(curve.field, max_degree, budget)
     field = curve.field
-    size = 1
-    for d in range(1, max_degree + 1):
-        size *= field.q
-        if size > cap:
-            raise BudgetExceeded(f"q^d = {size} exceeds budget {cap}")
     model = curve.model
     _KIND_RANK = {"plain": 0, "ramified": 0, "split": 1, "inert": 2}
     finite: dict[int, list] = {d: [] for d in range(1, max_degree + 1)}

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import random
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 classify_mod = importlib.import_module("curveclass.classify")
+curve_mod = importlib.import_module("curveclass.curve")
 hasse_witt_mod = importlib.import_module("curveclass.hasse_witt")
 from curveclass import (
     CharacteristicClash,
@@ -18,7 +20,7 @@ from curveclass import (
     euler_bookkeeping,
     fundamental_group_case,
     mu_p_in_field,
-    resolve_point_ids,
+    resolve_point_degrees,
 )
 from curveclass.errors import BudgetExceeded, CurveClassError
 from util import E_H3_F3, E_H6_F3, E_Z4_F3, G2_X5PX, build
@@ -67,14 +69,36 @@ def test_euler_rejects_bad_dims():
         euler_bookkeeping(-1, 1, 0)
 
 
-def test_resolve_point_ids():
-    c = build(2)
-    pts = resolve_point_ids(c, ["d1#0", "d2#0"])
-    assert [pt.degree for pt in pts] == [1, 2]
-    with pytest.raises(UnknownClosedPoint):
-        resolve_point_ids(c, ["d1#7"])
-    with pytest.raises(UnknownClosedPoint):
-        resolve_point_ids(c, ["bogus"])
+def test_resolve_point_degrees():
+    c = build(5)  # P^1 over F_5: 5, 10 and 40 finite points of degree 1, 2 and 3
+    assert resolve_point_degrees(c, ["d3#39", "d2#0", "d1#inf0", "d1#4", "d2#5"]) == [
+        1, 1, 2, 2, 3]
+    # k = count, a leading zero, an absent place at infinity, a huge k
+    for pid in ["d1#5", "d2#10", "d3#40", "d2#05", "d2#00", "d1#inf1", "d2#inf0",
+                "d1#inf00", "d1#" + "9" * 5000]:
+        with pytest.raises(UnknownClosedPoint, match="no closed point with id"):
+            resolve_point_degrees(c, [pid])
+    # 2x^4 + 1 over F_3 has a non-square lead: one place of degree 2 at infinity
+    even = build(3, f=[1, 0, 0, 0, 2])
+    assert resolve_point_degrees(even, ["d2#inf0"]) == [2]
+    with pytest.raises(UnknownClosedPoint, match="'d1#inf0'"):
+        resolve_point_degrees(even, ["d1#inf0"])
+    # the first missing id in sorted order is named, and S before T
+    with pytest.raises(UnknownClosedPoint, match="'d1#10'"):
+        resolve_point_degrees(c, ["d1#9", "d1#10"])
+    with pytest.raises(UnknownClosedPoint, match="'d1#9'"):
+        run(c, 5, S=["d1#9"], T=["d1#8"])
+    # every id is parsed before the budget is looked at
+    with pytest.raises(UnknownClosedPoint, match="malformed closed-point id 'bogus'"):
+        resolve_point_degrees(c, ["d30#0", "bogus"])
+    # the budget error is the enumeration's, also for a place at infinity
+    with pytest.raises(BudgetExceeded) as want:
+        closed_points(c, 3, budget=100)
+    for ids in (["d3#0"], ["d1#0", "d3#inf0"]):
+        with pytest.raises(BudgetExceeded) as got:
+            resolve_point_degrees(c, ids, budget=100)
+        assert str(got.value) == str(want.value) == "q^d = 125 exceeds budget 100"
+    assert resolve_point_degrees(c, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +142,50 @@ def test_case1_never_computes_zeta(monkeypatch):
         rep = run(curve, curve.field.p, S=S, T=T)
         assert rep.case == 1
         assert rep.verdict == "KPI1_TRUE"
+
+
+def test_marked_ids_never_enumerate_points(monkeypatch):
+    # curves of both characteristics with ids of degree <= 3 drawn from the
+    # enumeration, plus ids one past the last point of a degree
+    rng = random.Random(0x1D5)
+    pool = [
+        build(2),
+        build(3, f=list(E_Z4_F3)),
+        build(2, f=[1, 0, 0, 1], h=[0, 1]),
+        build(3, f=list(G2_X5PX)),
+        build(3, f=[1, 0, 0, 0, 2]),
+        build(2, 2, f=[1, 2, 0, 3, 1], h=[1, 0, 1]),
+        build(5, f=[2, 0, 1, 0, 3]),
+    ]
+    cases = []
+    for curve in pool:
+        pts = [pt.id for pt in closed_points(curve, 3)]
+        for _ in range(4):
+            rng.shuffle(pts)
+            cases.append((curve, pts[:1], pts[1:3]))
+            cases.append((curve, [], pts[: rng.randrange(1, 4)]))
+        finite = [pid for pid in pts if "inf" not in pid]
+        for d in (1, 2, 3):
+            k = sum(1 for pid in finite if pid.startswith(f"d{d}#"))
+            cases.append((curve, [], [f"d{d}#{k}"]))
+
+    def boom(*a, **k):
+        raise AssertionError("closed points enumerated")
+
+    monkeypatch.setattr(curve_mod, "irreducibles", boom)
+    monkeypatch.setattr(curve_mod, "closed_points", boom)
+    monkeypatch.setattr(classify_mod, "closed_points", boom)
+    out = []
+    for curve, S, T in cases:
+        try:
+            out.append(run(curve, curve.field.p, S=S, T=T).to_json())
+        except CurveClassError as exc:
+            out.append([type(exc).__name__, str(exc)])
+    assert {rep["case_tag"] for rep in out if isinstance(rep, dict)} == {1, 3, 4, 5}
+    assert sum(isinstance(rep, list) for rep in out) == 3 * 7
+    # the reports and errors that resolving ids by enumeration gave
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
+    assert digest == "217f18f5ea4c38fa"
 
 
 def test_case2_proper_unmarked():

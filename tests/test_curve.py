@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import curveclass.curve as curve_mod
@@ -6,11 +8,14 @@ from curveclass import (
     GeometricallyReducible,
     SingularModel,
     UnsupportedModel,
+    CurveClassError,
     census,
+    closed_point_counts,
     closed_points,
     count_points,
     curve_to_json,
     model_from_json,
+    necklace_count,
     validate,
 )
 from util import E_Z4_F3, G2_X5PX, build, curve_json
@@ -192,7 +197,8 @@ def test_closed_points_deterministic():
 
 
 def test_closed_points_budget_checked_first(monkeypatch):
-    # over F_3, degree 13 is the first past the default budget: no field is built
+    # over F_3, degree 13 is the first past the default budget: no field is
+    # built, by the enumeration or by the count
     monkeypatch.delenv("CURVECLASS_BUDGET", raising=False)
     c = build(3, f=E_Z4_F3)
     calls = []
@@ -203,9 +209,37 @@ def test_closed_points_budget_checked_first(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(curve_mod, "_extension", counting)
-    with pytest.raises(BudgetExceeded, match=r"q\^d = 1594323 exceeds budget 1000000"):
-        closed_points(c, 10**6)
+    for enumerate_or_count in (closed_points, closed_point_counts):
+        with pytest.raises(BudgetExceeded, match=r"q\^d = 1594323 exceeds budget 1000000"):
+            enumerate_or_count(c, 10**6)
     assert calls == []
+
+
+def test_closed_point_counts_match_enumeration_seeded():
+    # (p, m, largest degree): both characteristics, prime and non-prime q
+    rng = random.Random(0xC0DE)
+    places = set()
+    for p, m, top in [(2, 1, 5), (3, 1, 4), (2, 2, 3), (5, 1, 3), (7, 1, 3),
+                      (2, 3, 3), (3, 2, 3), (3, 3, 2)]:
+        q = p**m
+        assert closed_point_counts(build(p, m), top) == [0] + [
+            necklace_count(q, d) for d in range(1, top + 1)]
+        for degree in (3, 4, 5, 6, 3, 4, 5, 6):
+            while True:
+                # a random lead makes both kinds of even-degree model occur
+                f = [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]
+                h = [] if p != 2 else [rng.randrange(q) for _ in range(degree // 2)] + [1]
+                try:
+                    c = build(p, m, f=f, h=h)
+                    break
+                except CurveClassError:
+                    continue
+            places |= {(p == 2, pt.id) for pt in c.infinity}
+            pts = closed_points(c, top)
+            want = [0] + [sum(1 for pt in pts if pt.degree == d and pt.kind != "infinity")
+                          for d in range(1, top + 1)]
+            assert closed_point_counts(c, top) == want, (p, m, f, h)
+    assert {(False, "d2#inf0"), (True, "d2#inf0"), (False, "d1#inf1")} <= places
 
 
 def test_closed_point_ids_shape():

@@ -6,9 +6,14 @@ import pytest
 from curveclass import (
     BudgetExceeded,
     LPolynomial,
+    MarkedInstance,
     class_number,
+    classify,
+    closed_point_counts,
+    closed_points,
     count_points,
     field_create,
+    irreducibles,
     l_polynomial,
     pic_p_nontrivial,
 )
@@ -132,10 +137,10 @@ def _random_model(rng, p, m, degree):
             continue
 
 
-def _subfield_map(p, m, n):
+def _subfield_map(p, m, n, modulus=None):
     # F_{p^m} -> F_{p^n} by a root of the smaller modulus, found by search
     # with the larger field's own arithmetic (not through Extension)
-    small, big = field_create(p, m), field_create(p, n)
+    small, big = field_create(p, m), field_create(p, n, modulus)
 
     def horner(coeffs, x):
         acc = 0
@@ -177,3 +182,35 @@ def test_base_change_is_l_of_u_times_l_of_minus_u_seeded():
                 prod[i + j] += x * y * (-1) ** j
         assert all(x == 0 for x in prod[1::2])
         assert l_polynomial(lifted).coeffs == tuple(prod[::2]), (p, m, curve.model.f.coeffs)
+
+
+def test_field_isomorphism_keeps_counts_and_verdicts_seeded():
+    # a curve over F_q, q = p^m with m > 1, moved to the lex-last other
+    # modulus of degree m through a root of the canonical one: the same
+    # curve in another model of F_q
+    rng = random.Random(0x150)
+    for p, m, top in [(3, 2, 3), (5, 2, 2), (3, 3, 2)]:
+        canonical = field_create(p, m).modulus
+        other = next(tuple(pi.coeffs) for pi in reversed(irreducibles(field_create(p, 1), m))
+                     if tuple(pi.coeffs) != canonical)
+        move = _subfield_map(p, m, m, other)
+        primes = [p] + [ell for ell in (2, 3, 5, 7, 13) if ell != p and (p**m - 1) % ell == 0]
+        for degree in (3, 4, 5, 6):
+            curve = _random_model(rng, p, m, degree)
+            moved = build(p, m, f=[move(a) for a in curve.model.f.coeffs], modulus=other)
+            assert moved.field.modulus == other
+            g = curve.genus
+            assert [count_points(moved, n) for n in range(1, g + 2)] == [
+                count_points(curve, n) for n in range(1, g + 2)]
+            assert l_polynomial(moved).coeffs == l_polynomial(curve).coeffs
+            assert sorted(pt.degree for pt in closed_points(moved, top)) == sorted(
+                pt.degree for pt in closed_points(curve, top))
+            assert closed_point_counts(moved, top) == closed_point_counts(curve, top)
+            # ids name different points in the two models, but a verdict
+            # reads only their degrees
+            marks = [([], []), (["d1#0"], []), ([], ["d1#0"]), ([], ["d2#0", "d2#1"])]
+            for ell in primes:
+                for S, T in marks if ell == p else marks[:1]:
+                    reports = [classify(MarkedInstance(c, S, T, ell)).to_json()
+                               for c in (curve, moved)]
+                    assert reports[0] == reports[1], (p, m, curve.model.f.coeffs, ell, S, T)
