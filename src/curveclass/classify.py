@@ -189,13 +189,22 @@ def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[
     wanted = sorted(set(ids))
     if not wanted:
         return []
-    parsed = []
+    matches = []
     for pid in wanted:
         mt = _ID_RE.match(pid)
         if not mt:
             raise UnknownClosedPoint(f"malformed closed-point id {pid!r}")
-        parsed.append((pid, int(mt.group(1)), mt.group(2), mt.group(3)))
-    counts = closed_point_counts(curve, max(d for _, d, _, _ in parsed), budget)
+        matches.append(mt)
+    cap = resolve_budget(budget)
+    parsed = []
+    for mt in matches:
+        digits = mt.group(1)
+        # a degree with more digits than the budget is past it, and every
+        # degree past the budget fails its check at the same q^d; so such a
+        # degree is read as cap + 1, not by int(), which refuses 4300 digits
+        d = int(digits) if len(digits) <= len(str(cap)) else cap + 1
+        parsed.append((mt.group(0), d, mt.group(2), mt.group(3)))
+    counts = closed_point_counts(curve, max(d for _, d, _, _ in parsed), cap)
     infinity = {pt.id for pt in curve.infinity}
     out = []
     for pid, d, inf, k in parsed:

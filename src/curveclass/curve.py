@@ -368,10 +368,11 @@ _EXT_CACHE: dict = {}
 def _extension(field: Field, n: int) -> Extension:
     """F_{q^n} with its exp/log tables and the embedding of F_q, cached.
 
-    For n > 1 the extension is built over its primitive modulus, so the
-    tables come from shifting digits; a count does not depend on which
-    model of F_{q^n} it runs in.  The same object serves as the residue
-    field F_q[x]/(pi) of every monic irreducible pi of degree n.
+    For n > 1 the extension is built over its primitive modulus, so t
+    generates and the tables come from the index table of x -> t*x
+    (``Field.tables``); a count does not depend on which model of F_{q^n}
+    it runs in.  The same object serves as the residue field F_q[x]/(pi)
+    of every monic irreducible pi of degree n.
     """
     key = (field.p, field.modulus, n)
     ext = _EXT_CACHE.get(key)
@@ -405,7 +406,10 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     F_{q^n}, one Horner evaluation per orbit of x -> x^q.  The tables and
     the orbit arrays are built here on the first count over each extension
     and kept with it; the budget check bounds their size, 16 bytes per
-    element for the tables plus 5 bytes per orbit.
+    element for the tables plus 5 bytes per orbit.  While it runs, the
+    build briefly holds one more list with an entry per element (the
+    table of x -> t*x, then the Zech logarithms before they are packed),
+    about 60 bytes per element at its peak.
     """
     if n < 1:
         raise CurveClassError("extension degree must be >= 1")

@@ -17,7 +17,10 @@ Conventions used throughout the package:
   log, plus Zech logarithms zech[k] = log(1 + g^k) for addition.  Fields
   with q <= 128 build them at construction; larger ones on the first call
   to Field.tables(), which count_points makes for the extension it counts
-  over, and sqrt_idx makes in odd characteristic.  Untabulated fields do
+  over, and sqrt_idx makes in odd characteristic.  Over a primitive
+  modulus g is t, and the powers of t are read off an index table of
+  x -> t*x built a block of p^(m-1) indices at a time; other fields
+  multiply digit vectors by g, once per power.  Untabulated fields do
   everything but square roots on digit vectors, which also serves the tests
   as an independent reference.
 * det_rank is the one Gaussian elimination over a field, for Hasse–Witt and
@@ -234,6 +237,17 @@ def _fp_is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+def _fp_has_unit_root(coeffs: list[int], p: int) -> bool:
+    """Whether the polynomial over F_p vanishes at some a in F_p^*."""
+    for a in range(1, p):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * a + c) % p
+        if not v:
+            return True
+    return False
+
+
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
@@ -253,6 +267,8 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     also makes it irreducible, since the unit group of F_p[x]/(f) then has
     p^m - 1 elements.  Only constant terms with (-1)^m f(0) a generator of
     F_p^* are tried: that is the norm of t, which a generator maps onto.
+    A candidate with a root in F_p^* is reducible and skipped before the
+    order test, which would reject it anyway.
     """
     n = p**m - 1
     cofactors = [n // r for r in prime_factors(n)]
@@ -262,6 +278,8 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     constants = sorted((-1) ** m * c % p for c in generators)
     for tail in itertools.product(constants, *[range(p)] * (m - 1)):
         cand = list(tail) + [1]
+        if _fp_has_unit_root(cand, p):
+            continue
         if _fp_powmod_x(n, cand, p) == [1] and all(
             _fp_powmod_x(e, cand, p) != [1] for e in cofactors
         ):
@@ -356,57 +374,74 @@ class Field:
         twice so a sum of two logs needs no reduction; log[a] is the k < q-1
         with g^k = a (log[0] is unused); zech[k] is log(1 + g^k), or -1
         where 1 + g^k = 0.  Each is an array of 4-byte ints, 16 bytes per
-        element in all.  When t itself is primitive the powers come from
-        shifting digits, otherwise from multiplying digit vectors by g.
+        element in all.  When t itself is primitive the powers are read off
+        ``_mul_t``, a table of x -> t*x on every index built a block at a
+        time; otherwise each is a product of digit vectors with g.
         """
         if self._exp is None:
             p, n = self.p, self.q - 1
             g = self._primitive_element()
-            if self.m > 1 and g == p:
-                step = self._times_t
-            else:
-                def step(x):
-                    return self.mul_idx(x, g)
             exp = array("i", [0]) * (2 * n)
             x = 1
-            for k in range(n):
-                exp[k] = x
-                x = step(x)
+            if self.m > 1 and g == p:
+                mul_t = self._mul_t()
+                for k in range(n):
+                    exp[k] = x
+                    x = mul_t[x]
+                del mul_t
+            else:
+                for k in range(n):
+                    exp[k] = x
+                    x = self.mul_idx(x, g)
             if x != 1:
                 raise CurveClassError("internal: powers of g must cycle after q - 1 steps")
             exp[n:] = exp[:n]
             log = array("i", [0]) * self.q
-            for k in range(n):
-                log[exp[k]] = k
-            zech = array("i", [-1]) * n
-            for k in range(n):
-                x = exp[k]
-                # 1 + x raises digit 0 by one; x = p - 1 is -1, where it vanishes
-                if x != p - 1:
-                    zech[k] = log[x + 1 - p if x % p == p - 1 else x + 1]
+            for k, x in enumerate(exp[:n]):
+                log[x] = k
+            # 1 + x raises digit 0 of x by one, wrapping p - 1 round to 0, so
+            # log_after[x] = log[1 + x] is log shifted down by one index,
+            # less p where digit 0 of x is p - 1
+            log_after = log[1:] + log[:1]
+            log_after[p - 1 :: p] = log[::p]
+            zech = array("i", [log_after[x] for x in exp[:n]])
+            # x = p - 1 is -1, the one place where 1 + x vanishes
+            zech[log[p - 1]] = -1
             self._exp, self._log, self._zech = exp, log, zech
         return self._exp, self._log, self._zech
 
     def _primitive_element(self) -> int:
+        """The least index of a generator of F_q^*.  For m > 1 the search
+        starts at p, the index of t: an element of F_p has order dividing
+        p - 1, so it never generates."""
         n = self.q - 1
         cofactors = [n // r for r in prime_factors(n)]
         return next(
-            a for a in range(1, self.q) if all(self.pow_idx(a, e) != 1 for e in cofactors)
+            a
+            for a in range(self.p if self.m > 1 else 1, self.q)
+            if all(self.pow_idx(a, e) != 1 for e in cofactors)
         )
 
-    def _times_t(self, x: int) -> int:
-        """Index of t*x: shift the digits up, then fold the top digit back in
-        through t^m = red0 = -(c_0 + c_1 t + ... + c_{m-1} t^(m-1))."""
-        p = self.p
-        top, x = divmod(x, self._pw[self.m - 1])
-        x *= p
-        if top:
-            for i, r in enumerate(self._red[0]):
-                if r:
-                    pw = self._pw[i]
-                    d = x // pw % p
-                    x += ((d + top * r) % p - d) * pw
-        return x
+    def _mul_t(self) -> list[int]:
+        """mul_t[x] is the index of t*x, for every index x.
+
+        With x = c*p^(m-1) + low, t*x shifts the digits of low up one place
+        and adds c*red0, where t^m = red0 = -(c_0 + ... + c_{m-1} t^(m-1)).
+        So the block of top digit c takes digit 0 from c*red0 alone and
+        digit i from digit i - 1 of low plus c*red0[i]: the block is the
+        sum over digits of the values e*p^i, rotated by c*red0[i].
+        """
+        p, m, pw, red0 = self.p, self.m, self._pw, self._red[0]
+        values = [[e * pw[i] for e in range(p)] for i in range(m)]
+        mul_t = []
+        for c in range(p):
+            block = [c * red0[0] % p]
+            for i in range(1, m):
+                s = c * red0[i] % p
+                rotated = values[i][s:] + values[i][:s]
+                block = [a + b for b in rotated for a in block]
+            mul_t += block
+        return mul_t
 
     def _mul_digits_raw(self, da, db) -> tuple[int, ...]:
         p, m = self.p, self.m
@@ -971,11 +1006,11 @@ class Extension:
         # the image of the base field's t: prime-field constants need none
         self._rho = None
         if n > 1 and base.m > 1:
-            roots = [
-                big.neg_idx(fac.coeffs[0])
-                for fac, _mult in poly_factor(Poly(big, base.modulus))
-                if fac.degree == 1
-            ]
+            # the roots of the base modulus lie in the subfield F_q, whose
+            # nonzero elements are the powers of g^((Q - 1)/(q - 1)); a
+            # prime-field digit k < p has index k in both fields
+            subfield = big.tables()[0][: big.q - 1 : (big.q - 1) // (base.q - 1)]
+            roots = [r for r in subfield if self._horner(base.modulus, r) == 0]
             if len(roots) != base.m:
                 raise CurveClassError("internal: base modulus must split in the extension")
             self._rho = min(roots)

@@ -92,9 +92,10 @@ def test_resolve_point_degrees():
     with pytest.raises(UnknownClosedPoint, match="malformed closed-point id 'bogus'"):
         resolve_point_degrees(c, ["d30#0", "bogus"])
     # the budget error is the enumeration's, also for a place at infinity
+    # and for a degree too long for int()
     with pytest.raises(BudgetExceeded) as want:
         closed_points(c, 3, budget=100)
-    for ids in (["d3#0"], ["d1#0", "d3#inf0"]):
+    for ids in (["d3#0"], ["d1#0", "d3#inf0"], ["d" + "1" * 5000 + "#0"]):
         with pytest.raises(BudgetExceeded) as got:
             resolve_point_degrees(c, ids, budget=100)
         assert str(got.value) == str(want.value) == "q^d = 125 exceeds budget 100"

@@ -180,6 +180,15 @@ def test_classify_unknown_id_exit_1(curve_file, capsys):
     assert main(["classify", path, "--p", "2", "--S", "d1#99"]) == 1
 
 
+def test_classify_degree_past_int_limit_exit_3(curve_file, capsys, monkeypatch):
+    # 5000 digits is past int()'s default limit; the budget decides first
+    monkeypatch.delenv("CURVECLASS_BUDGET", raising=False)
+    path = curve_file("p1.json", curve_json(3))
+    assert main(["classify", path, "--p", "3", "--T", "d" + "1" * 5000 + "#0"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: q^d = 1594323 exceeds budget 1000000\n"
+
+
 def test_classify_json_deterministic(curve_file, capsys):
     path = curve_file("g2.json", curve_json(3, f=list(G2_X5PX)))
     args = ["classify", path, "--p", "3", "--T", "d2#0", "--json"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -18,12 +19,14 @@ from curveclass import (
 )
 from curveclass.curve import _extension
 from curveclass.gf import (
+    Extension,
     Field,
     _fp_is_irreducible,
     det_rank,
     is_prime,
     mobius,
     monic_polys,
+    prime_factors,
     primitive_modulus,
     squarefree,
     x_poly,
@@ -100,8 +103,8 @@ def test_tables_match_digit_arithmetic():
 
 
 def test_count_point_tables_match_digit_arithmetic_seeded():
-    # F_243 over its primitive modulus, as count_points builds it (tables by
-    # shifting digits), and F_256 over the canonical modulus, whose root t
+    # F_243 over its primitive modulus, as count_points builds it (tables
+    # from the multiply-by-t index table), and F_256 over the canonical modulus, whose root t
     # has order 51 (tables by multiplying digit vectors)
     rng = random.Random(243)
     for k in [Field(3, 5, primitive_modulus(3, 5)), field_create(2, 8)]:
@@ -111,21 +114,103 @@ def test_count_point_tables_match_digit_arithmetic_seeded():
         _check_against_digits(k, pairs)
 
 
+def _reference_tables(k):
+    # exp by stepping x -> t*x one element at a time on digit vectors, log
+    # and zech straight from their definitions
+    p, n = k.p, k.q - 1
+    t = k.digits(p)
+    exp, x = [], 1
+    for _ in range(n):
+        exp.append(x)
+        x = k.index_of(k._mul_digits_raw(k.digits(x), t))
+    assert x == 1
+    log = [0] * k.q
+    for i, a in enumerate(exp):
+        log[a] = i
+    zech = []
+    for a in exp:
+        d = list(k.digits(a))
+        d[0] = (d[0] + 1) % p
+        b = k.index_of(d)
+        zech.append(log[b] if b else -1)
+    return array("i", exp + exp), array("i", log), array("i", zech)
+
+
+def test_shift_tables_match_reference_walk():
+    # tables built from the multiply-by-t index table, byte for byte; over
+    # F_{7^5} t^5 = red0 has two nonzero digits
+    for p, m in [(7, 5), (2, 12), (3, 7), (13, 3), (5, 6)]:
+        k = Field(p, m, primitive_modulus(p, m))
+        assert k.q > 128 and k._exp is None
+        if (p, m) == (7, 5):
+            assert sum(1 for r in k._red[0] if r) == 2
+        want = _reference_tables(k)
+        got = k.tables()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (p, m)
+        # the single -1 of zech: 1 + g^k = 0 at g^k = -1, which is 1 for p = 2
+        zech = got[2]
+        assert zech.count(-1) == 1
+        assert zech[0 if p == 2 else (k.q - 1) // 2] == -1
+
+
+def test_extension_rho_is_least_linear_factor_root():
+    # the image of the base field's t, found among the subfield elements,
+    # is the least root of the base modulus that poly_factor finds
+    for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (5, 3)]:
+        base = field_create(p, m)
+        for n in (2, 3):
+            big = Field(p, m * n, primitive_modulus(p, m * n))
+            ext = Extension(base, n, big)
+            roots = [big.neg_idx(fac.coeffs[0])
+                     for fac, _ in poly_factor(Poly(big, base.modulus)) if fac.degree == 1]
+            assert len(roots) == m
+            assert ext._rho == min(roots), (p, m, n)
+
+
+def _x_has_full_order(f, p):
+    # x^n = 1 and x^(n/r) != 1 for the primes r | n, n = p^m - 1, in
+    # F_p[x]/(f), by square-and-multiply on coefficient lists
+    m = len(f) - 1
+    n = p**m - 1
+
+    def mulmod(a, b):
+        out = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for top in range(2 * m - 2, m - 1, -1):
+            c = out[top] % p
+            if c:
+                for i in range(m + 1):
+                    out[top - m + i] -= c * f[i]
+        return [c % p for c in out[:m]]
+
+    def x_pow(e):
+        r, b = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
+        while e:
+            if e & 1:
+                r = mulmod(r, b)
+            b = mulmod(b, b)
+            e >>= 1
+        return r
+
+    one = [1] + [0] * (m - 1)
+    return x_pow(n) == one and all(x_pow(n // r) != one for r in prime_factors(n))
+
+
 def test_primitive_modulus_is_lex_least():
-    for p, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]:
-        mod = primitive_modulus(p, m)
-        k = Field(p, m, mod)
-        assert k._primitive_element() == p  # t itself
-        # every modulus before it in the canonical order is reducible or has
-        # a root of smaller order
-        for tail in itertools.product(range(p), repeat=m):
-            if tail >= mod[:-1]:
-                break
-            try:
-                other = Field(p, m, tail + (1,))
-            except ReducibleModulus:
-                continue
-            assert other._primitive_element() != p, (p, m, tail)
+    # a plain search over every monic f in the canonical order, with no
+    # filter on f(0) or on roots in F_p: the first one in which x has order
+    # p^m - 1; t then generates, so its index p is the primitive element
+    cases = [(2, m) for m in range(2, 13)] + [(3, m) for m in range(2, 8)]
+    cases += [(p, m) for p in (5, 7) for m in range(2, 6)]
+    cases += [(p, m) for p in (11, 13) for m in range(2, 4)]
+    for p, m in cases:
+        want = next(tail + (1,) for tail in itertools.product(range(p), repeat=m)
+                    if _x_has_full_order(tail + (1,), p))
+        assert primitive_modulus(p, m) == want, (p, m)
+        assert Field(p, m, want)._primitive_element() == p, (p, m)
 
 
 def test_index_digit_round_trip():

@@ -7,6 +7,7 @@ from curveclass import (
     BudgetExceeded,
     LPolynomial,
     MarkedInstance,
+    Poly,
     class_number,
     classify,
     closed_point_counts,
@@ -163,6 +164,32 @@ def test_quadratic_twist_is_l_of_minus_u_seeded():
             twist = build(p, m, f=[field.mul_idx(c, a) for a in curve.model.f.coeffs])
             want = tuple((-1) ** i * a for i, a in enumerate(l_polynomial(curve).coeffs))
             assert l_polynomial(twist).coeffs == want, (p, m, curve.model.f.coeffs)
+
+
+def test_char2_quadratic_twist_is_l_of_minus_u_seeded():
+    # in characteristic 2 the quadratic twist of y^2 + hy = f is
+    # y^2 + hy = f + c*h^2 with Tr(c) = 1: z = y + w*h, w^2 + w = c, takes
+    # one to the other over F_{q^2} only
+    rng = random.Random(0x7C2)
+    for m in (1, 2, 3, 4):
+        field = field_create(2, m)
+        c = next(x for x in range(1, field.q) if field.trace_to_prime_idx(x) == 1)
+        wanted = {1: 2, 2: 2}
+        while any(wanted.values()):
+            h = [rng.randrange(field.q) for _ in range(rng.randint(0, 3))]
+            h.append(rng.randrange(1, field.q))
+            f = [rng.randrange(field.q) for _ in range(rng.randint(1, 7))]
+            try:
+                curve = build(2, m, f=f, h=h)
+            except CurveClassError:
+                continue
+            if not wanted.get(curve.genus):
+                continue
+            wanted[curve.genus] -= 1
+            ch2 = (Poly(field, h) * Poly(field, h)).scale(c)
+            twist = build(2, m, f=list((Poly(field, f) + ch2).coeffs), h=h)
+            want = tuple((-1) ** i * a for i, a in enumerate(l_polynomial(curve).coeffs))
+            assert l_polynomial(twist).coeffs == want, (m, f, h)
 
 
 def test_base_change_is_l_of_u_times_l_of_minus_u_seeded():
