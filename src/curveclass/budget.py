@@ -1,37 +1,31 @@
-"""Enumeration budget plumbing.
+"""The one budget check.
 
-Every exhaustive loop in the package is capped.  The cap is, in order of
-precedence: an explicit ``budget=`` argument, the CURVECLASS_BUDGET
-environment variable, then the default below.
+Every entry that takes ``budget=`` hands it to ``check_budget`` together
+with the field size q and the largest degree n it will work over; None
+means the default below.  The work over F_{q^d} is bounded by q^d, so
+nothing is built unless q^d fits the cap for every d <= n.  The oracle's
+caps live in ``jacobian`` and the closure cap in ``gmodule``, the modules
+that use them.
 """
 
-import os
-
-from .errors import CurveClassError
+from .errors import BudgetExceeded, CurveClassError
 
 DEFAULT_BUDGET = 10**6
 
-# separate caps for the divisor-class oracle
-ORACLE_ORDER_CAP = 10**4
-ORACLE_ENUM_CAP = 10**3
 
-# matrix-group closure cap
-CLOSURE_CAP = 10**4
+def check_budget(q: int, n: int, budget: int | None = None) -> int:
+    """The cap in force, once q^d fits it for every d <= n.
 
-
-def resolve_budget(budget=None) -> int:
-    """The cap in force; CurveClassError unless it is an integer >= 1.
-
-    The environment variable must be written in decimal digits.
+    CurveClassError unless the budget is an integer >= 1 (not a bool);
+    BudgetExceeded at the first d <= n with q^d past the cap.
     """
     if budget is None:
-        env = os.environ.get("CURVECLASS_BUDGET")
-        if env is None:
-            return DEFAULT_BUDGET
-        digits = env.strip()
-        if not (digits.isascii() and digits.isdigit() and int(digits) >= 1):
-            raise CurveClassError(f"CURVECLASS_BUDGET = {env!r} is not an integer >= 1")
-        return int(digits)
+        budget = DEFAULT_BUDGET
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise CurveClassError(f"budget {budget!r} is not an integer >= 1")
+    size = 1
+    for _ in range(n):
+        size *= q
+        if size > budget:
+            raise BudgetExceeded(f"q^d = {size} exceeds budget {budget}")
     return budget

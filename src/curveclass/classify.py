@@ -36,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .budget import resolve_budget
+from .budget import check_budget
 from .curve import Curve, closed_point_counts
 # perfbench's --trace wraps classify.closed_points by name (ROADMAP item 9)
 from .curve import closed_points  # noqa: F401
@@ -186,6 +186,7 @@ def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[
     checked, before any arithmetic; the first unknown id in sorted order is
     reported.
     """
+    cap = check_budget(curve.field.q, 0, budget)
     wanted = sorted(set(ids))
     if not wanted:
         return []
@@ -195,7 +196,6 @@ def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[
         if not mt:
             raise UnknownClosedPoint(f"malformed closed-point id {pid!r}")
         matches.append(mt)
-    cap = resolve_budget(budget)
     parsed = []
     for mt in matches:
         digits = mt.group(1)
@@ -267,11 +267,11 @@ def _char_p_s(curve: Curve, p: int, h: int | None):
 
 def classify(instance: MarkedInstance, budget: int | None = None) -> ClassificationReport:
     curve, p = instance.curve, instance.p
+    cap = check_budget(curve.field.q, 0, budget)
     if not is_prime(p):
         raise CurveClassError("p must be prime")
     if instance.S & instance.T:
         raise InconsistentInput("S and T must be disjoint")
-    cap = resolve_budget(budget)
     S_degrees = resolve_point_degrees(curve, instance.S, cap)
     T_degrees = resolve_point_degrees(curve, instance.T, cap)
     if curve.field.p == p:

@@ -17,7 +17,7 @@ import json
 import random
 import sys
 
-from .budget import resolve_budget
+from .budget import DEFAULT_BUDGET
 from .classify import MarkedInstance, classify
 from .curve import closed_points, curve_to_json, model_from_json, validate
 from .errors import BudgetExceeded, CurveClassError, UnsupportedCase
@@ -54,8 +54,7 @@ def cmd_points(args) -> int:
     if args.max_degree < 1:
         raise CurveClassError("--max-degree must be at least 1")
     curve = _load_curve(args.curve)
-    budget = resolve_budget(args.budget)
-    points = closed_points(curve, args.max_degree, budget=budget)
+    points = closed_points(curve, args.max_degree, budget=args.budget)
     if args.json:
         print(_dump([pt.to_json() for pt in points]))
         return 0
@@ -76,8 +75,7 @@ def cmd_points(args) -> int:
 
 def cmd_zeta(args) -> int:
     curve = _load_curve(args.curve)
-    budget = resolve_budget(args.budget)
-    lp = l_polynomial(curve, budget=budget)
+    lp = l_polynomial(curve, budget=args.budget)
     if args.json:
         print(_dump(lp.to_json()))
         return 0
@@ -105,8 +103,7 @@ def cmd_classify(args) -> int:
         S=_split_ids(args.S),
         T=_split_ids(args.T),
     )
-    budget = resolve_budget(args.budget)
-    report = classify(instance, budget=budget)
+    report = classify(instance, budget=args.budget)
     if args.json:
         print(_dump(report.to_json()))
         return 0
@@ -172,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON")
         cmd.add_argument("--budget", default=None,
-                         help="enumeration budget (default from "
-                              "CURVECLASS_BUDGET or built-in); validate "
-                              "and oracle do not use it")
+                         help="largest field size q^d to work over "
+                              f"(default {DEFAULT_BUDGET}); validate and "
+                              "oracle do not use it")
         cmd.set_defaults(func=func)
         return cmd
 
@@ -214,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_int(args, dest):
     """Turn the integer option dest into an int; a value int() cannot read is
-    an input error, as a bad CURVECLASS_BUDGET is, not a usage exit."""
+    an input error (exit 1), not an argparse usage exit.  The range of each
+    value is checked where it is used."""
     raw = getattr(args, dest, None)
     if raw is None:
         return

@@ -30,6 +30,9 @@ the parity of a log, and the square root is a table lookup.  In
 characteristic 2 the split test is the trace, and the y-values come from
 solving z^2 + z = u.  A residue returns to F_q[x]/(pi) by interpolating at
 the conjugates of the root.
+
+A count, an enumeration or a census over F_{q^d}, d <= n, first passes q
+and n to ``budget.check_budget``, so no field past the budget is built.
 Validation has no budget, and the factors of h it meets can have large
 degree, so its square roots mod pi stay on Poly arithmetic.
 """
@@ -38,10 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import resolve_budget
+from .budget import check_budget
 from .counting import affine_count
 from .errors import (
-    BudgetExceeded,
     CurveClassError,
     GeometricallyReducible,
     SingularModel,
@@ -393,9 +395,7 @@ def irreducibles(field: Field, d: int, budget: int | None = None) -> list[Poly]:
     """
     if d < 1:
         raise CurveClassError("degree must be >= 1")
-    cap = resolve_budget(budget)
-    if field.q**d > cap:
-        raise BudgetExceeded(f"q^d = {field.q ** d} exceeds budget {cap}")
+    check_budget(field.q, d, budget)
     return [Poly(field, k) for k in sorted(_extension(field, d).roots())]
 
 
@@ -405,7 +405,7 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     The affine part is counted by ``affine_count`` on the exp/log tables of
     F_{q^n}, one Horner evaluation per orbit of x -> x^q.  The tables and
     the orbit arrays are built here on the first count over each extension
-    and kept with it; the budget check bounds their size, 16 bytes per
+    and kept with it; ``check_budget`` bounds their size, 16 bytes per
     element for the tables plus 5 bytes per orbit.  While it runs, the
     build briefly holds one more list with an entry per element (the
     table of x -> t*x, then the Zech logarithms before they are packed),
@@ -414,9 +414,7 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     if n < 1:
         raise CurveClassError("extension degree must be >= 1")
     field = curve.field
-    cap = resolve_budget(budget)
-    if field.q**n > cap:
-        raise BudgetExceeded(f"q^n = {field.q ** n} exceeds budget {cap}")
+    check_budget(field.q, n, budget)
     inf = sum(pt.degree for pt in curve.infinity if n % pt.degree == 0)
     if isinstance(curve.model, ProjectiveLine):
         return field.q**n + 1
@@ -430,19 +428,6 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
 # closed points
 
 
-def _degree_budget(field: Field, max_degree: int, budget: int | None) -> int:
-    """The resolved budget, once q^d fits it for every d <= max_degree."""
-    if max_degree < 1:
-        raise CurveClassError("max_degree must be >= 1")
-    cap = resolve_budget(budget)
-    size = 1
-    for d in range(1, max_degree + 1):
-        size *= field.q
-        if size > cap:
-            raise BudgetExceeded(f"q^d = {size} exceeds budget {cap}")
-    return cap
-
-
 def closed_point_counts(
     curve: Curve, max_degree: int, budget: int | None = None
 ) -> list[int]:
@@ -451,10 +436,13 @@ def closed_point_counts(
     Every closed point of degree D has D points over F_{q^e} when D | e, so
     by Moebius inversion there are (1/D) * sum_{e | D} mu(D/e) * N_e closed
     points of degree D; the places at infinity of that degree are taken off.
-    The N_e come from ``count_points``, so nothing is enumerated.  The same
-    budget check as ``closed_points`` runs before any work.
+    The N_e come from ``count_points``, so nothing is enumerated.  As in
+    ``closed_points``, every degree up to max_degree is checked against the
+    budget before any work.
     """
-    cap = _degree_budget(curve.field, max_degree, budget)
+    if max_degree < 1:
+        raise CurveClassError("max_degree must be >= 1")
+    cap = check_budget(curve.field.q, max_degree, budget)
     n = [0] + [count_points(curve, e, cap) for e in range(1, max_degree + 1)]
     counts = [0]
     for d in range(1, max_degree + 1):
@@ -476,8 +464,10 @@ def closed_points(
     and labelled d{D}#{k}; the points above x = infinity close each degree
     block with ids d{D}#inf{slot}.
     """
-    cap = _degree_budget(curve.field, max_degree, budget)
+    if max_degree < 1:
+        raise CurveClassError("max_degree must be >= 1")
     field = curve.field
+    cap = check_budget(field.q, max_degree, budget)
     model = curve.model
     _KIND_RANK = {"plain": 0, "ramified": 0, "split": 1, "inert": 2}
     finite: dict[int, list] = {d: [] for d in range(1, max_degree + 1)}

@@ -17,7 +17,6 @@ import json
 import random
 from dataclasses import dataclass
 
-from .budget import CLOSURE_CAP
 from .errors import CurveClassError, NotFinite, NotInvertible
 from .gf import det_rank, field_create, is_prime
 from .jacobian import AbelianGroupStructure
@@ -32,6 +31,8 @@ from .snf import (
 )
 
 RANK_CAP = 16
+# largest group ``closure`` enumerates
+CLOSURE_CAP = 10**4
 
 Matrix = tuple[tuple[int, ...], ...]
 

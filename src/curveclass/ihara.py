@@ -53,14 +53,10 @@ class QSqrtValue:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @staticmethod
-    def of(a, b, q: int) -> "QSqrtValue":
-        return QSqrtValue(a, b, q)
-
     def __add__(self, other: "QSqrtValue") -> "QSqrtValue":
         if self.q != other.q:
             raise CurveClassError("cannot add values over different q")
-        return QSqrtValue.of(self.a + other.a, self.b + other.b, self.q)
+        return QSqrtValue(self.a + other.a, self.b + other.b, self.q)
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(q): -1, 0 or +1."""
@@ -82,7 +78,7 @@ class QSqrtValue:
 
     def compare(self, threshold) -> int:
         """Sign of (self - threshold) for a rational threshold."""
-        return QSqrtValue.of(self.a - Fraction(threshold), self.b, self.q).sign()
+        return QSqrtValue(self.a - Fraction(threshold), self.b, self.q).sign()
 
     def approx(self) -> str:
         ctx_prec = getcontext().prec
@@ -113,14 +109,14 @@ def degree_term(d: int, q: int) -> QSqrtValue:
     if d < 1:
         raise CurveClassError("degrees must be positive")
     if d % 2 == 0:
-        return QSqrtValue.of(Fraction(d, q ** (d // 2) - 1), 0, q)
+        return QSqrtValue(Fraction(d, q ** (d // 2) - 1), 0, q)
     c = q ** ((d - 1) // 2)
     den = c * c * q - 1
-    return QSqrtValue.of(Fraction(d, den), Fraction(d * c, den), q)
+    return QSqrtValue(Fraction(d, den), Fraction(d * c, den), q)
 
 
 def ihara_sum(degrees: Iterable[int], q: int) -> QSqrtValue:
-    total = QSqrtValue.of(0, 0, q)
+    total = QSqrtValue(0, 0, q)
     count = 0
     for d in degrees:
         total = total + degree_term(d, q)

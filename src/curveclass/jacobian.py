@@ -35,13 +35,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .budget import ORACLE_ENUM_CAP, ORACLE_ORDER_CAP
 from .curve import Curve, DoubleCover, ProjectiveLine, _extension
 from .errors import BudgetExceeded, CurveClassError, OracleUnsupportedModel
 from .gf import Poly, monic_polys, poly_extgcd, poly_factor, prime_factors
 
 _SANITY_SEED = 0xD1F0
 _SANITY_TRIALS = 100
+
+# the oracle's gates (``oracle_gate``): q^g, and the group order when known
+ORACLE_ENUM_CAP = 10**3
+ORACLE_ORDER_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,6 @@ def _mumford_walk(f: Poly, g: int):
         for u in monic_polys(field, d):
             for v in _sqrt_mod(f, u):
                 yield (u, v)
-
-
-def _mumford_elements(f: Poly, g: int) -> list[tuple[Poly, Poly]]:
-    return list(_mumford_walk(f, g))
 
 
 def _compose(D1, D2, f: Poly, g: int):
@@ -305,7 +304,7 @@ def jacobian_group(curve: Curve) -> AbelianGroupStructure:
         return AbelianGroupStructure(order=1, invariant_factors=())
     f = curve.model.f
     g = curve.genus
-    elements = _mumford_elements(f, g)
+    elements = list(_mumford_walk(f, g))
     oracle_gate(curve, len(elements))
     identity = elements[0]
     _group_sanity(elements, f, g, identity)
@@ -317,7 +316,7 @@ def p_sylow_rank(curve: Curve, p: int, h: int) -> int:
     """dim_{F_p} Pic^0(F_q)[p], given the class number h = #Pic^0(F_q).
 
     Inside the oracle's gates, the reduced Mumford pairs are walked lazily
-    in ``_mumford_elements`` order and each x is mapped to y = (h/p^a)*x,
+    in ``_mumford_walk`` order and each x is mapped to y = (h/p^a)*x,
     p^a = p^{v_p(h)}.  The subgroup these y generate grows one coset of
     each new y at a time until it holds p^a elements: that is the p-Sylow
     subgroup P, and the answer is log_p #{y in P : p*y = 0}.  Every walked

@@ -5,7 +5,8 @@ N_1, ..., N_g by Newton's identities, and the top half of its coefficients by
 the functional equation a_{2g-i} = q^{g-i} a_i.  Every constructed polynomial
 is checked against the coefficient form of the Riemann hypothesis for curves
 (|a_i| <= C(2g, i) q^{i/2}, verified exactly by squaring) and, budget
-permitting, against a directly counted N_{g+1} it must predict.
+permitting, against a directly counted N_{g+1} it must predict.  The budget
+is checked for q^g before N_1 is counted, so a curve past it builds no field.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budget import resolve_budget
-from .errors import BudgetExceeded, CurveClassError
+from .budget import check_budget
+from .errors import CurveClassError
 from .curve import Curve, count_points
 
 
@@ -84,7 +85,7 @@ def l_polynomial(curve: Curve, budget: int | None = None) -> LPolynomial:
     """Compute L(u) for a validated curve from the counts N_1 .. N_g."""
     g = curve.genus
     q = curve.field.q
-    cap = resolve_budget(budget)
+    cap = check_budget(q, g, budget)
     counts = [count_points(curve, n, cap) for n in range(1, g + 1)]
     psums = [q**n + 1 - counts[n - 1] for n in range(1, g + 1)]
     a = [1] + [0] * (2 * g)

@@ -65,15 +65,18 @@ def test_wire_format_takes_json_integers_only(curve_file, capsys, key, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_budget_env_not_an_integer_exit_1(curve_file, capsys, monkeypatch):
-    monkeypatch.setenv("CURVECLASS_BUDGET", "abc")
+@pytest.mark.parametrize("value", ["abc", "2"])
+def test_budget_env_is_ignored(curve_file, capsys, monkeypatch, value):
+    # the budget comes from --budget or the default only; "2" would refuse N_1
     path = curve_file("e.json", curve_json(3, f=[0, 1, 0, 1]))
-    assert main(["zeta", path]) == 1
-    assert "CURVECLASS_BUDGET" in capsys.readouterr().err
-
-
-def test_budget_below_one_exit_1(curve_file, capsys, monkeypatch):
     monkeypatch.delenv("CURVECLASS_BUDGET", raising=False)
+    unset = main(["zeta", path]), capsys.readouterr().out
+    monkeypatch.setenv("CURVECLASS_BUDGET", value)
+    assert (main(["zeta", path]), capsys.readouterr().out) == unset
+    assert unset[0] == 0
+
+
+def test_budget_below_one_exit_1(curve_file, capsys):
     path = curve_file("e.json", curve_json(3, f=[0, 1, 0, 1]))
     assert main(["zeta", path, "--budget", "-1"]) == 1
     assert "is not an integer >= 1" in capsys.readouterr().err
@@ -82,7 +85,7 @@ def test_budget_below_one_exit_1(curve_file, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["zeta", "validate", "oracle"])
 @pytest.mark.parametrize("value", ["abc", "1.5"])
 def test_budget_flag_not_an_integer_exit_1(curve_file, capsys, command, value):
-    # the same input error as CURVECLASS_BUDGET=abc, not an argparse usage exit
+    # an input error, not an argparse usage exit
     path = curve_file("e.json", curve_json(3, f=[0, 1, 0, 1]))
     assert main([command, path, "--budget", value]) == 1
     err = capsys.readouterr().err
@@ -180,9 +183,8 @@ def test_classify_unknown_id_exit_1(curve_file, capsys):
     assert main(["classify", path, "--p", "2", "--S", "d1#99"]) == 1
 
 
-def test_classify_degree_past_int_limit_exit_3(curve_file, capsys, monkeypatch):
+def test_classify_degree_past_int_limit_exit_3(curve_file, capsys):
     # 5000 digits is past int()'s default limit; the budget decides first
-    monkeypatch.delenv("CURVECLASS_BUDGET", raising=False)
     path = curve_file("p1.json", curve_json(3))
     assert main(["classify", path, "--p", "3", "--T", "d" + "1" * 5000 + "#0"]) == 3
     err = capsys.readouterr().err

@@ -199,7 +199,6 @@ def test_closed_points_deterministic():
 def test_closed_points_budget_checked_first(monkeypatch):
     # over F_3, degree 13 is the first past the default budget: no field is
     # built, by the enumeration or by the count
-    monkeypatch.delenv("CURVECLASS_BUDGET", raising=False)
     c = build(3, f=E_Z4_F3)
     calls = []
     real = curve_mod._extension

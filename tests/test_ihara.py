@@ -85,16 +85,16 @@ def test_exact_vs_decimal_seeded():
 
 
 def test_qsqrtvalue_folds_square_q_on_construction():
-    # 1 + sqrt(9) = 4, whether built directly or through QSqrtValue.of
+    # 1 + sqrt(9) = 4
     direct = QSqrtValue(1, 1, 9)
-    assert direct == QSqrtValue.of(1, 1, 9)
+    assert direct == QSqrtValue(4, 0, 9)
     assert (direct.a, direct.b) == (Fraction(4), Fraction(0))
-    assert direct.sign() == QSqrtValue.of(1, 1, 9).sign() == 1
+    assert direct.sign() == 1
     assert QSqrtValue(1, Fraction(-1, 2), 4).sign() == 0
 
 
 def test_qsqrtvalue_add_exact():
-    x = QSqrtValue.of(Fraction(1, 3), Fraction(1, 7), 5)
-    y = QSqrtValue.of(Fraction(2, 3), Fraction(6, 7), 5)
+    x = QSqrtValue(Fraction(1, 3), Fraction(1, 7), 5)
+    y = QSqrtValue(Fraction(2, 3), Fraction(6, 7), 5)
     z = x + y
     assert (z.a, z.b, z.q) == (Fraction(1), Fraction(1), 5)

@@ -67,7 +67,7 @@ def test_torsion_counts_match_factors_on_random_curves():
         s = jacobian_group(c)
         assert s.order == l_polynomial(c).class_number, (p, m, g)
         f = c.model.f
-        elements = jacobian_mod._mumford_elements(f, g)
+        elements = list(jacobian_mod._mumford_walk(f, g))
         identity = elements[0]
         for l in prime_factors(s.order):
             n = l
@@ -87,7 +87,7 @@ def test_scalar_is_repeated_composition():
     for p, fc in [(3, E_Z4_F3), (7, E_9_F7)]:
         c = build(p, f=fc)
         f, g = c.model.f, c.genus
-        elements = jacobian_mod._mumford_elements(f, g)
+        elements = list(jacobian_mod._mumford_walk(f, g))
         identity = elements[0]
         for x in elements:
             acc = identity
