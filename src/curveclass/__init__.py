@@ -6,6 +6,11 @@ curve (X - S, T) has the K(pi,1)-property for p, and computes the arithmetic
 invariants the decision rests on: genus, closed points, the L-polynomial,
 the class number h = L(1), p-torsion of the Picard group, and exact Ihara
 sums in Q(sqrt q).
+
+Importing the package loads every module a ``classify`` call uses and no
+more.  The G-module harness (``GModule``, ``coinvariants`` and the other
+``gmodule`` exports, with ``snf`` below them) loads on first access to one
+of its names, through the module-level ``__getattr__``.
 """
 
 from .classify import (
@@ -65,18 +70,6 @@ from .gf import (
     necklace_count,
     poly_factor,
     poly_gcd,
-)
-from .gmodule import (
-    Coinvariants,
-    GModule,
-    closure,
-    coinvariants,
-    harness_lines,
-    invariants_rank,
-    invcoinv_dims,
-    lemma51_check,
-    random_gmodule,
-    sign_module,
 )
 from .ihara import IharaResult, QSqrtValue, degree_term, ihara_sum, ihara_sum_exceeds
 from .jacobian import AbelianGroupStructure, jacobian_group
@@ -158,3 +151,24 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_GMODULE_EXPORTS = {
+    "Coinvariants",
+    "GModule",
+    "closure",
+    "coinvariants",
+    "harness_lines",
+    "invariants_rank",
+    "invcoinv_dims",
+    "lemma51_check",
+    "random_gmodule",
+    "sign_module",
+}
+
+
+def __getattr__(name):
+    if name in _GMODULE_EXPORTS:
+        from . import gmodule
+
+        return getattr(gmodule, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .budget import check_budget
 from .curve import Curve, closed_point_counts
@@ -53,6 +52,7 @@ from .gf import is_prime
 from .hasse_witt import hasse_witt_s
 from .ihara import ihara_sum_exceeds
 from .jacobian import jacobian_group, oracle_gate, p_sylow_rank, p_torsion_dim
+from .record import FrozenRecord, Record
 from .zeta import l_polynomial, pic_p_nontrivial
 
 VERDICT_TRUE = "KPI1_TRUE"
@@ -84,12 +84,8 @@ CASE_TAGS = {
 _ID_RE = re.compile(r"^d([1-9][0-9]*)#(inf)?([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class MarkedInstance:
-    curve: Curve
-    S: frozenset
-    T: frozenset
-    p: int
+class MarkedInstance(FrozenRecord):
+    __slots__ = ("curve", "S", "T", "p")
 
     def __init__(self, curve: Curve, S, T, p: int):
         object.__setattr__(self, "curve", curve)
@@ -98,16 +94,21 @@ class MarkedInstance:
         object.__setattr__(self, "p", p)
 
 
-@dataclass
-class ClassificationReport:
-    case: int
-    verdict: str
-    cd_bound: str
-    pi1_description: str
-    pi1_r: int | None
-    invariants: dict
-    euler: dict | None
-    note: str | None
+class ClassificationReport(Record):
+    __slots__ = (
+        "case", "verdict", "cd_bound", "pi1_description", "pi1_r", "invariants", "euler", "note"
+    )
+
+    def __init__(self, case: int, verdict: str, cd_bound: str, pi1_description: str,
+                 pi1_r: int | None, invariants: dict, euler: dict | None, note: str | None):
+        self.case = case
+        self.verdict = verdict
+        self.cd_bound = cd_bound
+        self.pi1_description = pi1_description
+        self.pi1_r = pi1_r
+        self.invariants = invariants
+        self.euler = euler
+        self.note = note
 
     @property
     def justification(self) -> str:

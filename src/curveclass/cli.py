@@ -14,14 +14,12 @@ Exit codes: 0 success (any verdict), 1 validation or input error,
 
 import argparse
 import json
-import random
 import sys
 
 from .budget import DEFAULT_BUDGET
 from .classify import MarkedInstance, classify
 from .curve import closed_points, curve_to_json, model_from_json, validate
 from .errors import BudgetExceeded, CurveClassError, UnsupportedCase
-from .gmodule import GModule, harness_lines, random_gmodule
 from .jacobian import jacobian_group
 from .zeta import l_polynomial
 
@@ -141,6 +139,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gmodule(args) -> int:
+    # only this subcommand loads the G-module harness
+    import random
+
+    from .gmodule import GModule, harness_lines, random_gmodule
+
     if args.random is not None:
         if args.random < 1:
             raise CurveClassError("--random must be at least 1")

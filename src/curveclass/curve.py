@@ -39,8 +39,6 @@ degree, so its square roots mod pi stay on Poly arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .budget import check_budget
 from .counting import affine_count
 from .errors import (
@@ -64,28 +62,30 @@ from .gf import (
     squarefree,
     x_poly,
 )
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
-    field: Field
-
+class ProjectiveLine(FrozenRecord):
+    __slots__ = ("field",)
     kind = "projective_line"
 
+    def __init__(self, field: Field):
+        object.__setattr__(self, "field", field)
 
-@dataclass(frozen=True)
-class DoubleCover:
+
+class DoubleCover(FrozenRecord):
     """Affine model y^2 + h(x)*y = f(x); h = 0 outside characteristic 2."""
 
-    field: Field
-    f: Poly
-    h: Poly
-
+    __slots__ = ("field", "f", "h")
     kind = "double_cover"
 
+    def __init__(self, field: Field, f: Poly, h: Poly):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "h", h)
 
-@dataclass(frozen=True)
-class ClosedPoint:
+
+class ClosedPoint(FrozenRecord):
     """One closed point of the smooth projective model.
 
     kind is "plain" (projective line), "ramified", "split", "inert" (finite
@@ -94,12 +94,16 @@ class ClosedPoint:
     < deg pi.  An inert point has degree 2*deg(pi).
     """
 
-    id: str
-    degree: int
-    kind: str
-    pi: Poly | None = None
-    y_rep: Poly | None = None
-    slot: int | None = None
+    __slots__ = ("id", "degree", "kind", "pi", "y_rep", "slot")
+
+    def __init__(self, id: str, degree: int, kind: str, pi: Poly | None = None,
+                 y_rep: Poly | None = None, slot: int | None = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "y_rep", y_rep)
+        object.__setattr__(self, "slot", slot)
 
     def to_json(self) -> dict:
         return {
@@ -111,13 +115,16 @@ class ClosedPoint:
         }
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(FrozenRecord):
     """A validated model together with its genus and places at infinity."""
 
-    model: ProjectiveLine | DoubleCover
-    genus: int
-    infinity: tuple[ClosedPoint, ...]
+    __slots__ = ("model", "genus", "infinity")
+
+    def __init__(self, model: ProjectiveLine | DoubleCover, genus: int,
+                 infinity: tuple[ClosedPoint, ...]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "infinity", infinity)
 
     @property
     def field(self) -> Field:

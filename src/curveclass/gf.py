@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -259,6 +259,10 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise CurveClassError("no irreducible modulus found")  # unreachable
 
 
+# (p, m) -> primitive_modulus(p, m): over these moduli t generates, untested
+_PRIMITIVE_MODULI: dict = {}
+
+
 def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     """The lex-least monic modulus of degree m >= 2 whose root t generates F_{p^m}^*.
 
@@ -283,6 +287,7 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
         if _fp_powmod_x(n, cand, p) == [1] and all(
             _fp_powmod_x(e, cand, p) != [1] for e in cofactors
         ):
+            _PRIMITIVE_MODULI[p, m] = tuple(cand)
             return tuple(cand)
     raise CurveClassError("no primitive modulus found")  # unreachable
 
@@ -388,13 +393,16 @@ class Field:
                 for k in range(n):
                     exp[k] = x
                     x = mul_t[x]
+                    if x == 1:
+                        break
                 del mul_t
             else:
                 for k in range(n):
                     exp[k] = x
                     x = self.mul_idx(x, g)
-            if x != 1:
-                raise CurveClassError("internal: powers of g must cycle after q - 1 steps")
+            # g = t may come untested from primitive_modulus: check its order
+            if x != 1 or k != n - 1:
+                raise CurveClassError("internal: powers of g must first return to 1 at step q - 1")
             exp[n:] = exp[:n]
             log = array("i", [0]) * self.q
             for k, x in enumerate(exp[:n]):
@@ -413,7 +421,10 @@ class Field:
     def _primitive_element(self) -> int:
         """The least index of a generator of F_q^*.  For m > 1 the search
         starts at p, the index of t: an element of F_p has order dividing
-        p - 1, so it never generates."""
+        p - 1, so it never generates.  Over a modulus that
+        primitive_modulus returned, t is the answer and is not tested."""
+        if _PRIMITIVE_MODULI.get((self.p, self.m)) == self.modulus:
+            return self.p
         n = self.q - 1
         cofactors = [n // r for r in prime_factors(n)]
         return next(

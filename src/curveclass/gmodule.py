@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 from .errors import CurveClassError, NotFinite, NotInvertible
 from .gf import det_rank, field_create, is_prime
 from .jacobian import AbelianGroupStructure
+from .record import FrozenRecord
 from .snf import (
     column_lattice_basis,
     diagonal_of,
@@ -130,10 +130,12 @@ class GModule:
         }
 
 
-@dataclass(frozen=True)
-class Coinvariants:
-    free_rank: int
-    torsion: AbelianGroupStructure
+class Coinvariants(FrozenRecord):
+    __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: AbelianGroupStructure):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": self.torsion.to_json()}

@@ -19,12 +19,12 @@ cross-checks only; the exact path is authoritative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import CurveClassError
+from .record import FrozenRecord
 
 DECIMAL_DIGITS = 50
 
@@ -34,24 +34,22 @@ def _is_perfect_square(q: int) -> bool:
     return r * r == q
 
 
-@dataclass(frozen=True)
-class QSqrtValue:
+class QSqrtValue(FrozenRecord):
     """The number a + b*sqrt(q), coefficients exact rationals.
 
     Construction makes a and b Fractions and, for square q, folds b*sqrt(q)
     into a, so b is 0 whenever sqrt(q) is rational.
     """
 
-    a: Fraction
-    b: Fraction
-    q: int
+    __slots__ = ("a", "b", "q")
 
-    def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
-        if b and _is_perfect_square(self.q):
-            a, b = a + b * math.isqrt(self.q), Fraction(0)
+    def __init__(self, a, b, q: int):
+        a, b = Fraction(a), Fraction(b)
+        if b and _is_perfect_square(q):
+            a, b = a + b * math.isqrt(q), Fraction(0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "q", q)
 
     def __add__(self, other: "QSqrtValue") -> "QSqrtValue":
         if self.q != other.q:
@@ -126,12 +124,14 @@ def ihara_sum(degrees: Iterable[int], q: int) -> QSqrtValue:
     return total
 
 
-@dataclass(frozen=True)
-class IharaResult:
-    exceeds: bool
-    value: QSqrtValue
-    threshold: int
-    approx: str
+class IharaResult(FrozenRecord):
+    __slots__ = ("exceeds", "value", "threshold", "approx")
+
+    def __init__(self, exceeds: bool, value: QSqrtValue, threshold: int, approx: str):
+        object.__setattr__(self, "exceeds", exceeds)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "approx", approx)
 
     def to_json(self) -> dict:
         return {

@@ -33,11 +33,11 @@ that the p-Sylow subgroup it builds has exactly p^{v_p(h)} elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .curve import Curve, DoubleCover, ProjectiveLine, _extension
 from .errors import BudgetExceeded, CurveClassError, OracleUnsupportedModel
 from .gf import Poly, monic_polys, poly_extgcd, poly_factor, prime_factors
+from .record import FrozenRecord
 
 _SANITY_SEED = 0xD1F0
 _SANITY_TRIALS = 100
@@ -47,12 +47,14 @@ ORACLE_ENUM_CAP = 10**3
 ORACLE_ORDER_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(FrozenRecord):
     """Finite abelian group as order plus invariant factors d_1 | d_2 | ..."""
 
-    order: int
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("order", "invariant_factors")
+
+    def __init__(self, order: int, invariant_factors: tuple[int, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     def to_json(self) -> dict:
         return {

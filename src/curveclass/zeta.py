@@ -12,25 +12,24 @@ is checked for q^g before N_1 is counted, so a curve past it builds no field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import check_budget
 from .errors import CurveClassError
 from .curve import Curve, count_points
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(FrozenRecord):
     """Integer polynomial a_0 + a_1 u + ... + a_{2g} u^{2g} with a_0 = 1."""
 
-    q: int
-    genus: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("q", "genus", "coeffs")
 
-    def __post_init__(self):
-        g, q = self.genus, self.q
-        a = self.coeffs
+    def __init__(self, q: int, genus: int, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "coeffs", coeffs)
+        g, a = genus, coeffs
         if len(a) != 2 * g + 1:
             raise CurveClassError("L-polynomial must have degree exactly 2g")
         if a[0] != 1:

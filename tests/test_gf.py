@@ -153,6 +153,29 @@ def test_shift_tables_match_reference_walk():
         assert zech[0 if p == 2 else (k.q - 1) // 2] == -1
 
 
+def test_primitive_modulus_makes_t_the_generator_untested(monkeypatch):
+    # a modulus from primitive_modulus has t proven primitive, so no power
+    # of t is taken to find the generator
+    k = Field(5, 4, primitive_modulus(5, 4))
+
+    def no_pow(*args):
+        raise AssertionError("generator tested again")
+
+    monkeypatch.setattr(Field, "pow_idx", no_pow)
+    assert k._primitive_element() == 5
+    k.tables()
+
+
+def test_walk_from_t_checks_its_order(monkeypatch):
+    # t = i has order 4 in F_9 = F_3[t]/(t^2 + 1); recorded as primitive,
+    # its walk returns to 1 at step 4 and the table build refuses it
+    from curveclass import gf
+
+    monkeypatch.setitem(gf._PRIMITIVE_MODULI, (3, 2), (1, 0, 1))
+    with pytest.raises(CurveClassError, match="first return to 1"):
+        Field(3, 2, (1, 0, 1))
+
+
 def test_extension_rho_is_least_linear_factor_root():
     # the image of the base field's t, found among the subfield elements,
     # is the least root of the base modulus that poly_factor finds
