@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from array import array
 from collections.abc import Iterable, Iterator
 
@@ -166,24 +167,48 @@ def necklace_count(q: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over the prime field, used to bootstrap moduli
+# F_p[x] on packed ints, used to find moduli
+#
+# A polynomial over F_p packs into one int, one lane per coefficient, so a
+# product is one int product (Kronecker substitution).  _FpRing is F_p[x]/(f)
+# on such ints.  The modulus searches rest on two facts:
+# * Ben-Or (1981): f of degree m is irreducible iff gcd(x^(p^k) - x, f) = 1
+#   for k = 1 .. m // 2; most reducible f fail within a few steps.
+# * Over an irreducible f, x^(p^m - 1) = 1 holds by itself, and for a prime
+#   r | p - 1, x^((p^m - 1)/r) = N(x)^((p-1)/r) != 1 whenever the norm
+#   N(x) = (-1)^m f(0) generates F_p^*.
+
+# byte width -> array type code on little-endian hosts; other widths use int.to_bytes
+_LANE_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def lane_width(bound: int) -> int:
+    """Bytes per lane for lane values up to bound: 1, 2, 4 or 8, else as many as it takes."""
+    w = (bound.bit_length() + 7) // 8
+    return next((c for c in (1, 2, 4, 8) if c >= w), w)
+
+
+def pack_lanes(coeffs, width: int) -> int:
+    """The int whose lanes of width bytes, lowest first, hold coeffs (each >= 0)."""
+    code = _LANE_CODES.get(width)
+    if not code:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+    return int.from_bytes(array(code, coeffs).tobytes(), "little")
+
+
+def unpack_lanes(value: int, width: int, count: int) -> list[int]:
+    """The count lanes of width bytes of value, lowest first."""
+    raw = value.to_bytes(width * count, "little")
+    code = _LANE_CODES.get(width)
+    if not code:
+        return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    return array(code, raw).tolist()
 
 
 def _fp_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
 
 
 def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -200,41 +225,82 @@ def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b, up to a unit."""
     while b:
         a, b = b, _fp_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
     return a
 
 
-def _fp_powmod_x(e: int, mod: list[int], p: int) -> list[int]:
-    """x^e mod the monic polynomial ``mod`` over F_p."""
-    result = [1]
-    base = _fp_rem([0, 1], mod, p)
-    while e:
-        if e & 1:
-            result = _fp_rem(_fp_mul(result, base, p), mod, p)
-        base = _fp_rem(_fp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+class _FpRing:
+    """F_p[x]/(f) for a monic f of degree m over F_p; the arithmetic needs m >= 2.
+
+    A residue is one int, its m coefficients in lanes below p.  A product
+    holds up to m(p-1)^2 in a lane, and folding each high lane c_j (mod p)
+    back in as c_j * (x^(m+j) mod f) adds up to (m-1)(p-1)^2 more.
+    """
+
+    __slots__ = ("p", "m", "f", "width", "lane", "low", "rows", "x")
+
+    def __init__(self, f: list[int], p: int):
+        m = len(f) - 1
+        self.p, self.m, self.f = p, m, f
+        self.width = lane_width(2 * m * (p - 1) ** 2)
+        self.lane = 8 * self.width
+        self.low = (1 << self.lane * m) - 1
+        self.x = 1 << self.lane
+        self.rows = [pack_lanes([-c % p for c in f[:m]], self.width)]
+
+    def reduction_rows(self) -> list[int]:
+        """x^(m+j) mod f for 0 <= j <= max(m - 2, 0), packed, built on first use."""
+        rows = self.rows
+        while len(rows) < self.m - 1:
+            rows.append(self.times_x(rows[-1]))
+        return rows
+
+    def _norm(self, a: int) -> int:
+        w, p = self.width, self.p
+        return pack_lanes([c % p for c in unpack_lanes(a, w, self.m)], w)
+
+    def times_x(self, a: int) -> int:
+        top = a >> self.lane * (self.m - 1)
+        a = (a << self.lane) & self.low
+        return self._norm(a + top * self.rows[0]) if top else a
+
+    def mul(self, a: int, b: int) -> int:
+        c = a * b
+        low = c & self.low
+        if c > low:
+            p = self.p
+            high = unpack_lanes(c >> self.lane * self.m, self.width, self.m - 1)
+            for h, row in zip(high, self.reduction_rows()):
+                low += h % p * row
+        return self._norm(low)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 1, left to right."""
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.times_x(r) if a == self.x else self.mul(r, a)
+        return r
+
+    def has_small_factor(self) -> bool:
+        """Whether f has a factor of degree 1 .. m // 2 (Ben-Or's test)."""
+        p, u = self.p, self.x
+        for _ in range(self.m // 2):
+            u = self.pow(u, p)
+            diff = unpack_lanes(u, self.width, self.m)
+            diff[1] = (diff[1] - 1) % p
+            if len(_fp_gcd(self.f, _fp_trim(diff), p)) != 1:
+                return True
+        return False
 
 
 def _fp_is_irreducible(coeffs: list[int], p: int) -> bool:
+    """Whether the monic coeffs, reduced mod p, are irreducible over F_p."""
     d = len(coeffs) - 1
-    if d < 1:
-        return False
-    xq = _fp_powmod_x(p**d, coeffs, p)
-    if _fp_trim([(a - b) % p for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)]):
-        return False
-    for ell in prime_factors(d):
-        xe = _fp_powmod_x(p ** (d // ell), coeffs, p)
-        diff = _fp_trim([(a - b) % p for a, b in itertools.zip_longest(xe, [0, 1], fillvalue=0)])
-        if not diff:
-            return False
-        if len(_fp_gcd(diff, coeffs, p)) != 1:
-            return False
-    return True
+    return d == 1 or (d > 1 and not _FpRing(coeffs, p).has_small_factor())
 
 
 def _fp_has_unit_root(coeffs: list[int], p: int) -> bool:
@@ -259,23 +325,23 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise CurveClassError("no irreducible modulus found")  # unreachable
 
 
-# (p, m) -> primitive_modulus(p, m): over these moduli t generates, untested
+# (p, m) -> primitive_modulus(p, m): proven irreducible with t a generator, so
+# Field tests neither again
 _PRIMITIVE_MODULI: dict = {}
 
 
 def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     """The lex-least monic modulus of degree m >= 2 whose root t generates F_{p^m}^*.
 
-    Candidates run in the canonical modulus order.  One with f(0) != 0 is
-    primitive iff x has order exactly p^m - 1 modulo it, and that order
-    also makes it irreducible, since the unit group of F_p[x]/(f) then has
-    p^m - 1 elements.  Only constant terms with (-1)^m f(0) a generator of
-    F_p^* are tried: that is the norm of t, which a generator maps onto.
-    A candidate with a root in F_p^* is reducible and skipped before the
-    order test, which would reject it anyway.
+    Candidates run in the canonical modulus order.  Only constant terms with
+    (-1)^m f(0) a generator of F_p^* are tried: that is the norm of t, which
+    a generator maps onto.  Candidates with a root in F_p^* are skipped, the
+    rest must pass Ben-Or's test, and then x generates iff x^(n/r) != 1 for
+    the primes r | n = p^m - 1 that do not divide p - 1: x^n = 1 holds over
+    an irreducible f, and the norm covers r | p - 1 (see above).
     """
     n = p**m - 1
-    cofactors = [n // r for r in prime_factors(n)]
+    cofactors = [n // r for r in prime_factors(n) if (p - 1) % r]
     generators = [
         c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
     ]
@@ -284,9 +350,8 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
         cand = list(tail) + [1]
         if _fp_has_unit_root(cand, p):
             continue
-        if _fp_powmod_x(n, cand, p) == [1] and all(
-            _fp_powmod_x(e, cand, p) != [1] for e in cofactors
-        ):
+        ring = _FpRing(cand, p)
+        if not ring.has_small_factor() and all(ring.pow(ring.x, e) != 1 for e in cofactors):
             _PRIMITIVE_MODULI[p, m] = tuple(cand)
             return tuple(cand)
     raise CurveClassError("no primitive modulus found")  # unreachable
@@ -334,24 +399,14 @@ class Field:
             mod = tuple(c % p for c in mod)
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise ReducibleModulus(f"modulus must be monic of degree {m}")
-            if m >= 1 and not _fp_is_irreducible(list(mod), p):
+            # a modulus that primitive_modulus returned is proven irreducible
+            if _PRIMITIVE_MODULI.get((p, m)) != mod and not _fp_is_irreducible(list(mod), p):
                 raise ReducibleModulus(f"modulus {list(mod)} is reducible over F_{p}")
         self.modulus = mod
         self._pw = [p**i for i in range(m + 1)]
         # x^(m+j) mod modulus, as digit tuples of length m
-        red0 = tuple((-mod[i]) % p for i in range(m))
-        red = [red0]
-        for _ in range(m - 2):
-            prev = red[-1]
-            top = prev[m - 1]
-            nxt = [0] * m
-            for t in range(1, m):
-                nxt[t] = prev[t - 1]
-            if top:
-                for t in range(m):
-                    nxt[t] = (nxt[t] + top * red0[t]) % p
-            red.append(tuple(nxt))
-        self._red = red
+        ring = _FpRing(list(mod), p)
+        self._red = [tuple(unpack_lanes(row, ring.width, m)) for row in ring.reduction_rows()]
         self._exp = self._log = self._zech = self._mask = None
         if self.q <= _TABLE_LIMIT:
             self.tables()

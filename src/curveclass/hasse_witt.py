@@ -11,20 +11,17 @@ entry to the p-th power; the order of the product matters once m > 1
   zeta layer on every call.
 
 This is polynomial in g, p and m and enumerates nothing.  Over a prime field
-f^((p-1)/2) comes from Kronecker substitution on Python ints; only exponents
-below gp enter A, so every product is truncated there.  The determinant and
-rank come from gf.det_rank, the package's one elimination over a field.
+f^((p-1)/2) comes from Kronecker substitution on Python ints, packed by gf's
+lane helpers; only exponents below gp enter A, so every product is truncated
+there.  The determinant and rank come from gf.det_rank, the package's one
+elimination over a field.
 """
 
 from __future__ import annotations
 
 from .curve import Curve
 from .errors import CurveClassError
-from .gf import Field, Poly, det_rank
-
-
-def _pack(coeffs: list[int], width: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+from .gf import Field, Poly, det_rank, lane_width, pack_lanes, unpack_lanes
 
 
 def _fp_mul_truncated(a: list[int], b: list[int], p: int, n: int) -> list[int]:
@@ -32,10 +29,9 @@ def _fp_mul_truncated(a: list[int], b: list[int], p: int, n: int) -> list[int]:
     if not a or not b:
         return []
     # a coefficient of the integer product is a sum of at most min(len) terms
-    width = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1
-    size = min(n, len(a) + len(b) - 1)
-    raw = (_pack(a, width) * _pack(b, width)).to_bytes(width * (len(a) + len(b) - 1), "little")
-    out = [int.from_bytes(raw[k * width:(k + 1) * width], "little") % p for k in range(size)]
+    width = lane_width(min(len(a), len(b)) * (p - 1) ** 2)
+    prod = pack_lanes(a, width) * pack_lanes(b, width)
+    out = [c % p for c in unpack_lanes(prod, width, len(a) + len(b) - 1)[:n]]
     while out and not out[-1]:
         out.pop()
     return out

@@ -1,6 +1,6 @@
 """Every input answers or exits in bounded time at the default budget.
 
-Three inputs that once hung are pinned, and random small fields, curves,
+Four inputs that once hung are pinned, and random small fields, curves,
 primes and marks go through ``main()``: the exit code is one of 0, 1, 2, 3,
 and a non-zero exit prints an ``error:`` line and no traceback.
 """
@@ -24,6 +24,9 @@ HUNG = {
                         "valid double_cover: genus 1, q=2305843009213693951"),
     # the canonical modulus of F_{3^40}
     "zeta_p1_f3_40": (["zeta"], curve_json(3, m=40), "L coefficients: 1\n"),
+    # the canonical modulus of F_{3^100}, by Ben-Or's irreducibility test
+    "validate_f3_100": (["validate"], curve_json(3, m=100),
+                        f"valid projective_line: genus 0, q={3**100}, 1 point at infinity"),
     # genus 11 over F_3: h from N_1 .. N_11, recount N_12
     "classify_x23_f3": (["classify", "--p", "3"], curve_json(3, f=[1] + [0] * 22 + [1]),
                         "h=176824"),

@@ -166,6 +166,33 @@ def test_primitive_modulus_makes_t_the_generator_untested(monkeypatch):
     k.tables()
 
 
+def test_primitive_modulus_is_not_proven_irreducible_again(monkeypatch):
+    # the search proved its modulus irreducible; an explicit modulus that is
+    # not the recorded one is still tested
+    from curveclass import gf
+
+    mod = primitive_modulus(3, 4)
+
+    def no_test(*args):
+        raise AssertionError("modulus tested again")
+
+    monkeypatch.setattr(gf, "_fp_is_irreducible", no_test)
+    assert Field(3, 4, mod).modulus == mod
+    monkeypatch.undo()
+    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) over F_3
+    with pytest.raises(ReducibleModulus):
+        Field(3, 4, (1, 0, 0, 0, 1))
+
+
+def test_explicit_modulus_over_a_61_bit_prime():
+    # lanes wider than 8 bytes: x^2 + 1 is irreducible since p = 3 mod 4,
+    # and x^2 - 1 = (x - 1)(x + 1)
+    p = 2**61 - 1
+    assert Field(p, 2, (1, 0, 1)).modulus == (1, 0, 1)
+    with pytest.raises(ReducibleModulus):
+        Field(p, 2, (p - 1, 0, 1))
+
+
 def test_walk_from_t_checks_its_order(monkeypatch):
     # t = i has order 4 in F_9 = F_3[t]/(t^2 + 1); recorded as primitive,
     # its walk returns to 1 at step 4 and the table build refuses it
@@ -192,9 +219,12 @@ def test_extension_rho_is_least_linear_factor_root():
 
 def _x_has_full_order(f, p):
     # x^n = 1 and x^(n/r) != 1 for the primes r | n, n = p^m - 1, in
-    # F_p[x]/(f), by square-and-multiply on coefficient lists
+    # F_p[x]/(f), by square-and-multiply on coefficient lists.  x^n = 1
+    # needs x to be a unit, so f(0) = 0 answers False at once
     m = len(f) - 1
     n = p**m - 1
+    if f[0] == 0:
+        return False
 
     def mulmod(a, b):
         out = [0] * (2 * m - 1)
@@ -210,12 +240,12 @@ def _x_has_full_order(f, p):
         return [c % p for c in out[:m]]
 
     def x_pow(e):
-        r, b = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
-        while e:
-            if e & 1:
-                r = mulmod(r, b)
-            b = mulmod(b, b)
-            e >>= 1
+        # left to right: square, and multiply by x as a shift less top * f
+        r = [1] + [0] * (m - 1)
+        for bit in bin(e)[2:]:
+            r = mulmod(r, r)
+            if bit == "1":
+                r = [(c - r[-1] * fc) % p for c, fc in zip([0] + r[:-1], f)]
         return r
 
     one = [1] + [0] * (m - 1)
@@ -224,11 +254,15 @@ def _x_has_full_order(f, p):
 
 def test_primitive_modulus_is_lex_least():
     # a plain search over every monic f in the canonical order, with no
-    # filter on f(0) or on roots in F_p: the first one in which x has order
-    # p^m - 1; t then generates, so its index p is the primitive element
+    # filter on roots in F_p and none on f(0) beyond the f(0) != 0 that
+    # x^n = 1 needs: the first one in which x has order p^m - 1; t then
+    # generates, so its index p is the primitive element
     cases = [(2, m) for m in range(2, 13)] + [(3, m) for m in range(2, 8)]
     cases += [(p, m) for p in (5, 7) for m in range(2, 6)]
     cases += [(p, m) for p in (11, 13) for m in range(2, 4)]
+    # larger fields, where the constant filter and the skip of primes
+    # r | p - 1 leave the most untested
+    cases += [(2, 16), (3, 8), (5, 6), (13, 4)]
     for p, m in cases:
         want = next(tail + (1,) for tail in itertools.product(range(p), repeat=m)
                     if _x_has_full_order(tail + (1,), p))
