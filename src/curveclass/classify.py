@@ -15,7 +15,11 @@ table; which arithmetic gets computed depends on the case:
 A marked point enters only through its degree, so no closed point is built:
 an id d{D}#{k} exists exactly when k is below the number of finite closed
 points of degree D, which ``curve.closed_point_counts`` takes from the point
-counts N_e, e | D, by Moebius inversion (``resolve_point_degrees``).
+counts N_e, e | D, by Moebius inversion (``resolve_point_degrees``).  The
+N_e with e <= g are counted; when D > g the rest come from L(u).  A call
+computes L(u) at most once, after the q^D budget check that every id
+passes, and the cases that need h read it from the same object.  So no id
+builds a field past F_{q^(g+1)}.
 
 Verdicts are KPI1_TRUE / KPI1_FALSE / UNDETERMINED; UNDETERMINED is a
 first-class outcome, reported without any heuristic guess.
@@ -185,12 +189,23 @@ def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[
     (``closed_point_counts``), and d{D}#inf{k} must be the id of a place at
     infinity.  Every id is parsed, and the budget for the largest degree
     checked, before any arithmetic; the first unknown id in sorted order is
-    reported.
+    reported.  When that degree exceeds the genus g, the counts past N_g
+    come from L(u) (``l_polynomial``).
     """
     cap = check_budget(curve.field.q, 0, budget)
+    return _resolve_point_degrees(curve, ids, cap, None)[0]
+
+
+def _resolve_point_degrees(curve: Curve, ids, cap: int, lp):
+    """(degrees, lp) for ``resolve_point_degrees``.
+
+    lp is the curve's L-polynomial or None.  When the largest degree D
+    exceeds the genus and lp is None, it is computed here, after the q^D
+    budget check, and returned for the caller to reuse.
+    """
     wanted = sorted(set(ids))
     if not wanted:
-        return []
+        return [], lp
     matches = []
     for pid in wanted:
         mt = _ID_RE.match(pid)
@@ -205,7 +220,12 @@ def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[
         # degree is read as cap + 1, not by int(), which refuses 4300 digits
         d = int(digits) if len(digits) <= len(str(cap)) else cap + 1
         parsed.append((mt.group(0), d, mt.group(2), mt.group(3)))
-    counts = closed_point_counts(curve, max(d for _, d, _, _ in parsed), cap)
+    top = max(d for _, d, _, _ in parsed)
+    if top > curve.genus and lp is None:
+        # an id past the budget is refused with its own q^d line first
+        check_budget(curve.field.q, top, cap)
+        lp = l_polynomial(curve, cap)
+    counts = closed_point_counts(curve, top, cap, lp)
     infinity = {pt.id for pt in curve.infinity}
     out = []
     for pid, d, inf, k in parsed:
@@ -218,7 +238,7 @@ def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[
         if not known:
             raise UnknownClosedPoint(f"no closed point with id {pid!r}")
         out.append(d)
-    return out
+    return out, lp
 
 
 def _blank_invariants(curve: Curve) -> dict:
@@ -233,18 +253,20 @@ def _blank_invariants(curve: Curve) -> dict:
     }
 
 
-def _zeta_invariants(curve: Curve, p: int, cap: int, inv: dict, required: bool):
+def _zeta_invariants(curve: Curve, p: int, cap: int, inv: dict, required: bool, lp=None):
     """Fill h and pic_p_nontrivial in inv from the zeta layer; return p | h.
 
-    When that layer hits the budget the error propagates if the verdict
-    needs p | h (required), and otherwise inv stays blank and this is None.
+    lp is the L-polynomial when the id resolution already computed it.  When
+    the zeta layer hits the budget the error propagates if the verdict needs
+    p | h (required), and otherwise inv stays blank and this is None.
     """
-    try:
-        lp = l_polynomial(curve, cap)
-    except BudgetExceeded:
-        if required:
-            raise
-        return None
+    if lp is None:
+        try:
+            lp = l_polynomial(curve, cap)
+        except BudgetExceeded:
+            if required:
+                raise
+            return None
     inv["h"] = lp.class_number
     inv["pic_p_nontrivial"] = pic = pic_p_nontrivial(lp, p)
     return pic
@@ -273,18 +295,20 @@ def classify(instance: MarkedInstance, budget: int | None = None) -> Classificat
         raise CurveClassError("p must be prime")
     if instance.S & instance.T:
         raise InconsistentInput("S and T must be disjoint")
-    S_degrees = resolve_point_degrees(curve, instance.S, cap)
-    T_degrees = resolve_point_degrees(curve, instance.T, cap)
+    S_degrees, lp = _resolve_point_degrees(curve, instance.S, cap, None)
+    T_degrees, lp = _resolve_point_degrees(curve, instance.T, cap, lp)
     if curve.field.p == p:
-        return _classify_char_p(curve, S_degrees, T_degrees, p, cap)
+        return _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp)
+    # away from the characteristic every mark is refused, so lp goes unused
     return _classify_prime_to_char(curve, S_degrees, T_degrees, p, cap)
 
 
-def _classify_char_p(curve, S_degrees, T_degrees, p, cap) -> ClassificationReport:
+def _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp) -> ClassificationReport:
     inv = _blank_invariants(curve)
     if S_degrees:
-        # ramification allowed somewhere: true with cd exactly 1, and no
-        # zeta/class-group arithmetic is consulted at all
+        # ramification allowed somewhere: true with cd exactly 1; the
+        # verdict reads no zeta or class-group data, even when L(u) served
+        # the id counts
         return ClassificationReport(
             case=1,
             verdict=VERDICT_TRUE,
@@ -314,7 +338,7 @@ def _classify_char_p(curve, S_degrees, T_degrees, p, cap) -> ClassificationRepor
             euler=euler,
             note=None,
         )
-    pic = _zeta_invariants(curve, p, cap, inv, required=True)
+    pic = _zeta_invariants(curve, p, cap, inv, required=True, lp=lp)
     degrees = sorted(T_degrees)
     if not pic:
         # p-part of the class group vanishes: pi1 is cyclic of order p^r

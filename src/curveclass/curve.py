@@ -436,21 +436,30 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
 
 
 def closed_point_counts(
-    curve: Curve, max_degree: int, budget: int | None = None
+    curve: Curve, max_degree: int, budget: int | None = None, lp=None
 ) -> list[int]:
     """Entry D is the number of finite closed points of degree D (entry 0 is 0).
 
     Every closed point of degree D has D points over F_{q^e} when D | e, so
     by Moebius inversion there are (1/D) * sum_{e | D} mu(D/e) * N_e closed
     points of degree D; the places at infinity of that degree are taken off.
-    The N_e come from ``count_points``, so nothing is enumerated.  As in
-    ``closed_points``, every degree up to max_degree is checked against the
-    budget before any work.
+    The N_e come from ``count_points``, so nothing is enumerated.  Given the
+    curve's L-polynomial lp (``zeta.l_polynomial``), N_e for e > g is
+    ``lp.predicted_count(e)`` instead, which L(u) fixes exactly, so no field
+    past F_{q^g} is built here.  As in ``closed_points``, every degree up to
+    max_degree is checked against the budget before any work, with or
+    without lp.
     """
     if max_degree < 1:
         raise CurveClassError("max_degree must be >= 1")
     cap = check_budget(curve.field.q, max_degree, budget)
-    n = [0] + [count_points(curve, e, cap) for e in range(1, max_degree + 1)]
+    g = curve.genus
+    if lp is not None and (lp.q, lp.genus) != (curve.field.q, g):
+        raise CurveClassError("L-polynomial belongs to another curve")
+    n = [0] + [
+        count_points(curve, e, cap) if lp is None or e <= g else lp.predicted_count(e)
+        for e in range(1, max_degree + 1)
+    ]
     counts = [0]
     for d in range(1, max_degree + 1):
         total = sum(mobius(d // e) * n[e] for e in range(1, d + 1) if d % e == 0)

@@ -314,12 +314,31 @@ def _fp_has_unit_root(coeffs: list[int], p: int) -> bool:
     return False
 
 
+def _monic_candidates(constants: Iterable[int], p: int, m: int) -> Iterator[list[int]]:
+    """Monic [c_0, ..., c_{m-1}, 1] with c_0 from constants and the rest in 0..p-1.
+
+    The order is that of itertools.product(constants, *[range(p)] * (m - 1)),
+    c_{m-1} running fastest, but no range is materialised, so the first
+    candidates come at once for any p.  Each list is fresh.
+    """
+    for c0 in constants:
+        rest = [0] * (m - 1)
+        while True:
+            yield [c0, *rest, 1]
+            i = m - 2
+            while i >= 0 and rest[i] == p - 1:
+                rest[i] = 0
+                i -= 1
+            if i < 0:
+                break
+            rest[i] += 1
+
+
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
     # a zero constant term makes x a factor, so c_0 runs over 1..p-1 only
-    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
-        cand = list(tail) + [1]
+    for cand in _monic_candidates(range(1, p), p, m):
         if _fp_is_irreducible(cand, p):
             return tuple(cand)
     raise CurveClassError("no irreducible modulus found")  # unreachable
@@ -346,8 +365,7 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
         c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
     ]
     constants = sorted((-1) ** m * c % p for c in generators)
-    for tail in itertools.product(constants, *[range(p)] * (m - 1)):
-        cand = list(tail) + [1]
+    for cand in _monic_candidates(constants, p, m):
         if _fp_has_unit_root(cand, p):
             continue
         ring = _FpRing(cand, p)

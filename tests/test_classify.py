@@ -15,7 +15,9 @@ from curveclass import (
     MarkedInstance,
     UnknownClosedPoint,
     UnsupportedCase,
+    class_number,
     classify,
+    closed_point_counts,
     closed_points,
     euler_bookkeeping,
     fundamental_group_case,
@@ -117,11 +119,26 @@ def test_case1_punctured():
     assert rep.euler is None
 
 
-def test_case1_never_computes_zeta(monkeypatch):
-    def boom(*a, **k):
-        raise AssertionError("zeta consulted in case 1")
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The curves that classify hands to l_polynomial, in call order."""
+    real_lp = classify_mod.l_polynomial
+    calls = []
 
-    monkeypatch.setattr(classify_mod, "l_polynomial", boom)
+    def counted_lp(curve, budget=None):
+        calls.append(curve)
+        return real_lp(curve, budget)
+
+    monkeypatch.setattr(classify_mod, "l_polynomial", counted_lp)
+    return calls
+
+
+def test_case1_never_computes_zeta(monkeypatch, lp_calls):
+    # no class-group arithmetic, and h and s stay blank; L(u) may be computed
+    # only to count the closed points of an id of degree D > g, and then once
+    def boom(*a, **k):
+        raise AssertionError("class group consulted in case 1")
+
     monkeypatch.setattr(classify_mod, "jacobian_group", boom)
     monkeypatch.setattr(classify_mod, "p_sylow_rank", boom)
     rng = random.Random(0xCA5E1)
@@ -140,9 +157,32 @@ def test_case1_never_computes_zeta(monkeypatch):
         S = pts[:k]
         rest = pts[k:]
         T = rest[: rng.randrange(0, 3)]
+        lp_calls.clear()
         rep = run(curve, curve.field.p, S=S, T=T)
         assert rep.case == 1
         assert rep.verdict == "KPI1_TRUE"
+        assert rep.invariants["h"] is None
+        assert rep.invariants["s"] == "unknown"
+        top = max(int(pid[1:pid.index("#")]) for pid in S + T)
+        assert len(lp_calls) <= (1 if top > curve.genus else 0), (S, T, curve.genus)
+
+
+def test_l_polynomial_once_per_call(lp_calls):
+    # the id resolution and the invariants share one L(u): once per call in
+    # every case that needs h, whether or not an id has degree D > g
+    cases = set()
+    for curve, p in [(build(3, f=list(E_Z4_F3)), 3), (build(3, f=list(E_H3_F3)), 3),
+                     (build(3, f=list(G2_X5PX)), 3), (build(2, f=[1, 0, 0, 1], h=[0, 1]), 2),
+                     (build(5), 5)]:
+        counts = closed_point_counts(curve, curve.genus + 3)
+        ids = [f"d{d}#0" for d in range(1, len(counts)) if counts[d]]
+        for T in [[]] + [[pid] for pid in ids] + [ids[:1] + ids[-1:]]:
+            lp_calls.clear()
+            rep = run(curve, p, T=T)
+            cases.add(rep.case)
+            assert len(lp_calls) == 1, (curve.model, T)
+            assert rep.invariants["h"] == class_number(curve)
+    assert cases == {2, 3, 4, 5}
 
 
 def test_marked_ids_never_enumerate_points(monkeypatch):

@@ -1,8 +1,9 @@
 """Every input answers or exits in bounded time at the default budget.
 
-Four inputs that once hung are pinned, and random small fields, curves,
-primes and marks go through ``main()``: the exit code is one of 0, 1, 2, 3,
-and a non-zero exit prints an ``error:`` line and no traceback.
+Six inputs that once hung or ran out of memory are pinned, and random small
+fields, curves, primes and marks go through ``main()``: the exit code is one
+of 0, 1, 2, 3, and a non-zero exit prints an ``error:`` line and no
+traceback.
 """
 
 import json
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from curveclass.cli import main
 from util import curve_json
 
-# each answers in under a second on 2 vCPUs; each once ran far past that
+# each answers in under a second on 2 vCPUs; each once ran far past that,
+# or ran out of memory
 BOUND_S = 10.0
 
 HUNG = {
@@ -27,6 +29,12 @@ HUNG = {
     # the canonical modulus of F_{3^100}, by Ben-Or's irreducibility test
     "validate_f3_100": (["validate"], curve_json(3, m=100),
                         f"valid projective_line: genus 0, q={3**100}, 1 point at infinity"),
+    # the canonical modulus of F_{p^2}, whose candidates are made one at a
+    # time: itertools.product would materialise range(p) first
+    "validate_p_2_61_m_2": (["validate"], curve_json(2**61 - 1, m=2),
+                            f"valid projective_line: genus 0, q={(2**61 - 1) ** 2}"),
+    "validate_p_1e9_7_m_2": (["validate"], curve_json(10**9 + 7, m=2),
+                             f"valid projective_line: genus 0, q={(10**9 + 7) ** 2}"),
     # genus 11 over F_3: h from N_1 .. N_11, recount N_12
     "classify_x23_f3": (["classify", "--p", "3"], curve_json(3, f=[1] + [0] * 22 + [1]),
                         "h=176824"),

@@ -1,8 +1,10 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+curve_mod = importlib.import_module("curveclass.curve")
 from curveclass import (
     BudgetExceeded,
     LPolynomial,
@@ -17,6 +19,7 @@ from curveclass import (
     irreducibles,
     l_polynomial,
     pic_p_nontrivial,
+    resolve_point_degrees,
 )
 from curveclass.errors import CurveClassError
 from util import E_H3_F3, E_H6_F3, E_Z4_F3, G2_X5PX, build
@@ -241,3 +244,74 @@ def test_field_isomorphism_keeps_counts_and_verdicts_seeded():
                     reports = [classify(MarkedInstance(c, S, T, ell)).to_json()
                                for c in (curve, moved)]
                     assert reports[0] == reports[1], (p, m, curve.model.f.coeffs, ell, S, T)
+
+
+# ---------------------------------------------------------------------------
+# closed-point counts past the genus from L(u)
+
+
+def _random_genus_model(rng, p, m, g, even):
+    # odd characteristic: deg f = 2g + 1, or 2g + 2 with a random lead;
+    # characteristic 2: deg h = g + 1 and deg f = 2g + 1 or 2g + 2, kept
+    # when the genus comes out as g
+    q = p**m
+    while True:
+        f = [rng.randrange(q) for _ in range(2 * g + 1 + even)] + [rng.randrange(1, q)]
+        h = [] if p != 2 else [rng.randrange(q) for _ in range(g + 1)] + [1]
+        try:
+            curve = build(p, m, f=f, h=h)
+        except CurveClassError:
+            continue
+        if curve.genus == g:
+            return curve
+
+
+def test_closed_point_counts_from_l_polynomial_seeded():
+    # N_e for e > g from L(u) against N_e counted over F_{q^e}, up to g + 3
+    rng = random.Random(0x1F0)
+    fields = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]
+    places = set()
+    for p, m in fields:
+        q = p**m
+        p1 = build(p, m)
+        assert closed_point_counts(p1, 3, lp=l_polynomial(p1)) == closed_point_counts(p1, 3)
+        for g in (1, 2, 3):
+            if q ** (g + 3) > 10**5:
+                continue
+            for even in (0, 1, 0, 1):
+                c = _random_genus_model(rng, p, m, g, even)
+                places |= {(p == 2, pt.id) for pt in c.infinity}
+                lp = l_polynomial(c)
+                for top in range(1, g + 4):
+                    assert closed_point_counts(c, top, lp=lp) == closed_point_counts(c, top), (
+                        p, m, c.model.f.coeffs, c.model.h.coeffs, top)
+    # both kinds of even-degree model, in both characteristics
+    assert {(False, "d2#inf0"), (True, "d2#inf0"), (False, "d1#inf1"), (True, "d1#inf1")} <= places
+
+
+def test_closed_point_counts_refuses_another_curves_l_polynomial():
+    c = build(3, f=E_Z4_F3)
+    with pytest.raises(CurveClassError, match="another curve"):
+        closed_point_counts(c, 3, lp=l_polynomial(build(3, f=G2_X5PX)))
+    with pytest.raises(CurveClassError, match="another curve"):
+        closed_point_counts(c, 3, lp=l_polynomial(build(5, f=E_Z4_F3)))
+
+
+@pytest.mark.parametrize("p, m, f, h", [
+    (3, 1, E_Z4_F3, None),
+    (5, 1, G2_X5PX, None),
+    (2, 1, [1, 0, 0, 1], [0, 1]),
+    (3, 1, [1, 0, 0, 0, 0, 0, 0, 1], None),
+])
+def test_resolving_an_id_builds_no_field_past_g_plus_1(monkeypatch, p, m, f, h):
+    # d{g+3}#0, by itself and as a mark: the extensions built stop at the
+    # N_{g+1} recount of L(u)
+    c = build(p, m, f=f, h=h)
+    g = c.genus
+    pid = f"d{g + 3}#0"
+    for resolve in (lambda: resolve_point_degrees(c, [pid]),
+                    lambda: classify(MarkedInstance(c, [], [pid], p))):
+        monkeypatch.setattr(curve_mod, "_EXT_CACHE", {})
+        resolve()
+        degrees = {n for (_p, _mod, n) in curve_mod._EXT_CACHE}
+        assert degrees and max(degrees) <= g + 1, (degrees, g)
