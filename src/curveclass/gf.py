@@ -20,9 +20,10 @@ Conventions used throughout the package:
   over, and sqrt_idx makes in odd characteristic.  Over a primitive
   modulus g is t, and the powers of t are read off an index table of
   x -> t*x built a block of p^(m-1) indices at a time; other fields
-  multiply digit vectors by g, once per power.  Untabulated fields do
-  everything but square roots on digit vectors, which also serves the tests
-  as an independent reference.
+  multiply by g once per power.  Untabulated fields do everything but
+  square roots without tables: a prime field on plain ints mod p, F_{p^m}
+  with m > 1 on its _FpRing, the one F_p[t]/(modulus) product, with sums
+  and negatives taken digit by digit.
 * det_rank is the one Gaussian elimination over a field, for Hasse–Witt and
   for the G-module harness over F_p.
 * Residue fields F_q[x]/(pi) are not a type of their own.  An Extension is
@@ -44,6 +45,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import sys
 from array import array
@@ -167,11 +169,12 @@ def necklace_count(q: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] on packed ints, used to find moduli
+# F_p[x] on packed ints, used to find moduli and to multiply without tables
 #
 # A polynomial over F_p packs into one int, one lane per coefficient, so a
 # product is one int product (Kronecker substitution).  _FpRing is F_p[x]/(f)
-# on such ints.  The modulus searches rest on two facts:
+# on such ints, and F_{p^m} multiplies on it until its tables are built.
+# The modulus searches rest on two facts:
 # * Ben-Or (1981): f of degree m is irreducible iff gcd(x^(p^k) - x, f) = 1
 #   for k = 1 .. m // 2; most reducible f fail within a few steps.
 # * Over an irreducible f, x^(p^m - 1) = 1 holds by itself, and for a prime
@@ -257,24 +260,24 @@ class _FpRing:
             rows.append(self.times_x(rows[-1]))
         return rows
 
-    def _norm(self, a: int) -> int:
-        w, p = self.width, self.p
-        return pack_lanes([c % p for c in unpack_lanes(a, w, self.m)], w)
+    def reduce(self, c: int) -> list[int]:
+        """The m coefficients of c mod f, lowest first, for c of at most 2m - 1
+        lanes within the bound above, such as a product of two residues."""
+        low = c & self.low
+        p = self.p
+        if c > low:
+            high = unpack_lanes(c >> self.lane * self.m, self.width, self.m - 1)
+            for h, row in zip(high, self.reduction_rows()):
+                low += h % p * row
+        return [v % p for v in unpack_lanes(low, self.width, self.m)]
 
     def times_x(self, a: int) -> int:
         top = a >> self.lane * (self.m - 1)
         a = (a << self.lane) & self.low
-        return self._norm(a + top * self.rows[0]) if top else a
+        return pack_lanes(self.reduce(a + top * self.rows[0]), self.width) if top else a
 
     def mul(self, a: int, b: int) -> int:
-        c = a * b
-        low = c & self.low
-        if c > low:
-            p = self.p
-            high = unpack_lanes(c >> self.lane * self.m, self.width, self.m - 1)
-            for h, row in zip(high, self.reduction_rows()):
-                low += h % p * row
-        return self._norm(low)
+        return pack_lanes(self.reduce(a * b), self.width)
 
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 1, left to right."""
@@ -361,10 +364,10 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     """
     n = p**m - 1
     cofactors = [n // r for r in prime_factors(n) if (p - 1) % r]
-    generators = [
-        c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
-    ]
-    constants = sorted((-1) ** m * c % p for c in generators)
+    units = [(p - 1) // r for r in prime_factors(p - 1)]
+    # c_0 ascending where (-1)^m c_0 generates, lazily: the search nearly
+    # always stops at one of the first few
+    constants = (c for c in range(1, p) if all(pow((-1) ** m * c, e, p) != 1 for e in units))
     for cand in _monic_candidates(constants, p, m):
         if _fp_has_unit_root(cand, p):
             continue
@@ -385,20 +388,10 @@ def is_json_int(value) -> bool:
 
 class Field:
     """F_q with exact index-based arithmetic: on exp/log/Zech tables once
-    they are built, on digit vectors before."""
+    they are built; before, on plain ints mod p when m = 1 and on the
+    packed ring F_p[t]/(modulus) when m > 1."""
 
-    __slots__ = (
-        "p",
-        "m",
-        "q",
-        "modulus",
-        "_red",
-        "_pw",
-        "_exp",
-        "_log",
-        "_zech",
-        "_mask",
-    )
+    __slots__ = ("p", "m", "q", "modulus", "_ring", "_pw", "_exp", "_log", "_zech", "_mask")
 
     def __init__(self, p: int, m: int, modulus: Iterable[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -422,9 +415,8 @@ class Field:
                 raise ReducibleModulus(f"modulus {list(mod)} is reducible over F_{p}")
         self.modulus = mod
         self._pw = [p**i for i in range(m + 1)]
-        # x^(m+j) mod modulus, as digit tuples of length m
-        ring = _FpRing(list(mod), p)
-        self._red = [tuple(unpack_lanes(row, ring.width, m)) for row in ring.reduction_rows()]
+        # the untabled product for m > 1; a prime field multiplies ints mod p
+        self._ring = _FpRing(list(mod), p) if m > 1 else None
         self._exp = self._log = self._zech = self._mask = None
         if self.q <= _TABLE_LIMIT:
             self.tables()
@@ -440,10 +432,12 @@ class Field:
         return tuple(out)
 
     def index_of(self, digits: Iterable[int]) -> int:
-        idx = 0
-        for i, c in enumerate(digits):
-            idx += (int(c) % self.p) * self._pw[i]
-        return idx
+        """The index of the element with these digits, constant first, each below p."""
+        return sum(map(operator.mul, digits, self._pw))
+
+    def _pack(self, idx: int) -> int:
+        """The residue of the index idx in the field's ring."""
+        return pack_lanes(self.digits(idx), self._ring.width)
 
     def tables(self):
         """(exp, log, zech) over a primitive element g, built on first use.
@@ -454,7 +448,8 @@ class Field:
         where 1 + g^k = 0.  Each is an array of 4-byte ints, 16 bytes per
         element in all.  When t itself is primitive the powers are read off
         ``_mul_t``, a table of x -> t*x on every index built a block at a
-        time; otherwise each is a product of digit vectors with g.
+        time.  Otherwise x -> x*g runs on ints mod p, or for m > 1 on a
+        residue of the field's ring, converted to an index once per power.
         """
         if self._exp is None:
             p, n = self.p, self.q - 1
@@ -469,10 +464,19 @@ class Field:
                     if x == 1:
                         break
                 del mul_t
-            else:
+            elif self.m == 1:
                 for k in range(n):
                     exp[k] = x
-                    x = self.mul_idx(x, g)
+                    x = x * g % p
+            else:
+                # x stays a residue of the ring between steps
+                reduce, index, width = self._ring.reduce, self.index_of, self._ring.width
+                gr, xr = self._pack(g), 1
+                for k in range(n):
+                    exp[k] = x
+                    lanes = reduce(xr * gr)
+                    x = index(lanes)
+                    xr = pack_lanes(lanes, width)
             # g = t may come untested from primitive_modulus: check its order
             if x != 1 or k != n - 1:
                 raise CurveClassError("internal: powers of g must first return to 1 at step q - 1")
@@ -515,7 +519,8 @@ class Field:
         digit i from digit i - 1 of low plus c*red0[i]: the block is the
         sum over digits of the values e*p^i, rotated by c*red0[i].
         """
-        p, m, pw, red0 = self.p, self.m, self._pw, self._red[0]
+        p, m, pw, ring = self.p, self.m, self._pw, self._ring
+        red0 = unpack_lanes(ring.rows[0], ring.width, m)
         values = [[e * pw[i] for e in range(p)] for i in range(m)]
         mul_t = []
         for c in range(p):
@@ -527,32 +532,16 @@ class Field:
             mul_t += block
         return mul_t
 
-    def _mul_digits_raw(self, da, db) -> tuple[int, ...]:
-        p, m = self.p, self.m
-        res = [0] * (2 * m - 1) if m > 1 else [0]
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    res[i + j] = (res[i + j] + ai * bj) % p
-        for k in range(2 * m - 2, m - 1, -1):
-            c = res[k]
-            if c:
-                res[k] = 0
-                red = self._red[k - m]
-                for t in range(m):
-                    if red[t]:
-                        res[t] = (res[t] + c * red[t]) % p
-        return tuple(res[:m])
-
     # -- index-level ops -----------------------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b  # digit-wise addition mod 2
         if self._exp is None:
-            da, db = self.digits(a), self.digits(b)
             p = self.p
-            return self.index_of((da[i] + db[i]) % p for i in range(self.m))
+            if self.m == 1:
+                return (a + b) % p
+            return self.index_of((x + y) % p for x, y in zip(self.digits(a), self.digits(b)))
         if not a:
             return b
         if not b:
@@ -568,6 +557,8 @@ class Field:
             return a
         if self._exp is None:
             p = self.p
+            if self.m == 1:
+                return p - a
             return self.index_of((p - c) % p for c in self.digits(a))
         # -1 = g^((q-1)/2)
         return self._exp[self._log[a] + self.q // 2]
@@ -577,7 +568,9 @@ class Field:
 
     def mul_idx(self, a: int, b: int) -> int:
         if self._exp is None:
-            return self.index_of(self._mul_digits_raw(self.digits(a), self.digits(b)))
+            if self.m == 1:
+                return a * b % self.p
+            return self.index_of(self._ring.reduce(self._pack(a) * self._pack(b)))
         if a and b:
             log = self._log
             return self._exp[log[a] + log[b]]
@@ -595,14 +588,12 @@ class Field:
             return self.pow_idx(self.inv_idx(a), -e)
         if self._exp is not None and a:
             return self._exp[self._log[a] * e % (self.q - 1)]
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_idx(result, base)
-            base = self.mul_idx(base, base)
-            e >>= 1
-        return result
+        if self.m == 1:
+            return pow(a, e, self.p)
+        if not e:
+            return 1
+        ring = self._ring
+        return self.index_of(unpack_lanes(ring.pow(self._pack(a), e), ring.width, self.m))
 
     def trace_to_prime_idx(self, a: int) -> int:
         """Absolute trace to F_p, returned as an integer in [0, p)."""
@@ -663,7 +654,7 @@ class Field:
         if self.m > 1 and isinstance(data, list) and all(map(is_json_int, data)):
             if len(data) > self.m:
                 raise CurveClassError("element digit list longer than extension degree")
-            return self.index_of(data)
+            return self.index_of([c % self.p for c in data])
         kind = "an integer or a list of integer digits" if self.m > 1 else "an integer"
         raise CurveClassError(f"field element must be {kind}, got {data!r}")
 

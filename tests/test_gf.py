@@ -32,6 +32,7 @@ from curveclass.gf import (
     x_poly,
 )
 from curveclass.snf import mat_det
+from util import mul_digits
 
 
 def test_canonical_moduli():
@@ -76,21 +77,21 @@ def test_field_axioms_seeded():
 
 
 def _check_against_digits(k, pairs):
-    """Table arithmetic of k against its digit arithmetic: digit-wise
-    addition and ``_mul_digits_raw``."""
+    """Table arithmetic of k against digit arithmetic: digit-wise addition
+    and the schoolbook ``mul_digits``."""
     p = k.p
     one = k.digits(1)
-    squares = {k._mul_digits_raw(k.digits(a), k.digits(a)) for a in range(k.q)}
+    squares = {mul_digits(k, k.digits(a), k.digits(a)) for a in range(k.q)}
     for a in range(k.q):
         da = k.digits(a)
         assert k.digits(k.neg_idx(a)) == tuple((p - c) % p for c in da), (k, a)
         assert k.is_square_idx(a) == (da in squares), (k, a)
         if a:
-            assert k._mul_digits_raw(da, k.digits(k.inv_idx(a))) == one, (k, a)
+            assert mul_digits(k, da, k.digits(k.inv_idx(a))) == one, (k, a)
     for a, b in pairs:
         da, db = k.digits(a), k.digits(b)
         assert k.digits(k.add_idx(a, b)) == tuple((x + y) % p for x, y in zip(da, db)), (k, a, b)
-        assert k.digits(k.mul_idx(a, b)) == k._mul_digits_raw(da, db), (k, a, b)
+        assert k.digits(k.mul_idx(a, b)) == mul_digits(k, da, db), (k, a, b)
 
 
 def test_tables_match_digit_arithmetic():
@@ -105,7 +106,7 @@ def test_tables_match_digit_arithmetic():
 def test_count_point_tables_match_digit_arithmetic_seeded():
     # F_243 over its primitive modulus, as count_points builds it (tables
     # from the multiply-by-t index table), and F_256 over the canonical modulus, whose root t
-    # has order 51 (tables by multiplying digit vectors)
+    # has order 51 (tables by a walk on the field's packed ring)
     rng = random.Random(243)
     for k in [Field(3, 5, primitive_modulus(3, 5)), field_create(2, 8)]:
         assert k.q > 128
@@ -114,15 +115,15 @@ def test_count_point_tables_match_digit_arithmetic_seeded():
         _check_against_digits(k, pairs)
 
 
-def _reference_tables(k):
-    # exp by stepping x -> t*x one element at a time on digit vectors, log
-    # and zech straight from their definitions
+def _reference_tables(k, g=None):
+    # exp by stepping x -> g*x one element at a time on digit vectors (g is
+    # t unless given), log and zech straight from their definitions
     p, n = k.p, k.q - 1
-    t = k.digits(p)
+    dg = k.digits(p if g is None else g)
     exp, x = [], 1
     for _ in range(n):
         exp.append(x)
-        x = k.index_of(k._mul_digits_raw(k.digits(x), t))
+        x = k.index_of(mul_digits(k, k.digits(x), dg))
     assert x == 1
     log = [0] * k.q
     for i, a in enumerate(exp):
@@ -138,12 +139,12 @@ def _reference_tables(k):
 
 def test_shift_tables_match_reference_walk():
     # tables built from the multiply-by-t index table, byte for byte; over
-    # F_{7^5} t^5 = red0 has two nonzero digits
+    # F_{7^5} t^5 = -(c_0 + ... + c_4 t^4) has two nonzero digits
     for p, m in [(7, 5), (2, 12), (3, 7), (13, 3), (5, 6)]:
         k = Field(p, m, primitive_modulus(p, m))
         assert k.q > 128 and k._exp is None
         if (p, m) == (7, 5):
-            assert sum(1 for r in k._red[0] if r) == 2
+            assert sum(1 for c in k.modulus[:m] if c) == 2
         want = _reference_tables(k)
         got = k.tables()
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (p, m)
@@ -151,6 +152,71 @@ def test_shift_tables_match_reference_walk():
         zech = got[2]
         assert zech.count(-1) == 1
         assert zech[0 if p == 2 else (k.q - 1) // 2] == -1
+
+
+def _untabled_ops(k, rng):
+    """mul, add, neg, inv and pow_idx of k on seeded pairs, exponents of
+    either sign and zero among them."""
+    out = []
+    for _ in range(300):
+        a, b = rng.randrange(k.q), rng.randrange(k.q)
+        e = rng.choice([0, 1, 2, k.p, k.q - 1, k.q, rng.randrange(-3 * k.q, 3 * k.q)])
+        row = [k.mul_idx(a, b), k.add_idx(a, b), k.neg_idx(a)]
+        if a:
+            row += [k.inv_idx(a), k.pow_idx(a, e)]
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("p, m, g", [(131, 1, 2), (2, 8, 6), (5, 4, 30), (3, 5, 3)])
+def test_untabled_arithmetic_matches_tables_seeded(p, m, g):
+    # the same values before tables() (plain ints mod p, or the packed ring
+    # for m > 1) and after (exp/log/Zech).  F_131 walks g on ints; F_{2^8}
+    # and F_{5^4} have a t that does not generate, so their tables come
+    # from the packed walk by g; F_{3^5}'s come from the multiply-by-t table
+    k = Field(p, m)
+    assert k.q > 128 and k._exp is None
+    before = _untabled_ops(k, random.Random(p * 100 + m))
+    got = k.tables()
+    assert got[0][1] == g
+    assert _untabled_ops(k, random.Random(p * 100 + m)) == before
+    if g != p:
+        want = _reference_tables(k, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (p, m)
+
+
+@pytest.mark.parametrize("p, m", [(2**61 - 1, 1), (3, 100)])
+def test_untabled_arithmetic_on_large_fields_seeded(p, m):
+    # fields far past any table: products against the schoolbook reference,
+    # inverses, and Frobenius a^q = a
+    k = Field(p, m)
+    rng = random.Random(61 + m)
+    for i in range(20):
+        a, b = rng.randrange(1, k.q), rng.randrange(k.q)
+        assert k.digits(k.mul_idx(a, b)) == mul_digits(k, k.digits(a), k.digits(b)), (a, b)
+        if i < 4:
+            assert k.mul_idx(a, k.inv_idx(a)) == 1, a
+            assert k.pow_idx(a, k.q) == a, a
+    assert k._exp is None
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (3, 2), (131, 1), (3, 5)])
+def test_pow_idx_edge_cases(p, m):
+    # e = 0 gives 1 (0^0 too), a = 0 gives 0 for e > 0, e < 0 inverts
+    # first; untabled and tabled alike
+    k = Field(p, m)
+    for _ in range(2):
+        for a in range(min(k.q, 40)):
+            assert k.pow_idx(a, 0) == 1
+            power = 1
+            for e in range(1, 6):
+                power = k.mul_idx(power, a)
+                assert k.pow_idx(a, e) == power, (a, e)
+                if a:
+                    assert k.pow_idx(a, -e) == k.inv_idx(power), (a, e)
+        with pytest.raises(ZeroDivisionError):
+            k.pow_idx(0, -1)
+        k.tables()
 
 
 def test_primitive_modulus_makes_t_the_generator_untested(monkeypatch):
@@ -270,6 +336,22 @@ def test_primitive_modulus_is_lex_least():
         assert Field(p, m, want)._primitive_element() == p, (p, m)
 
 
+def test_primitive_modulus_factors_each_order_once(monkeypatch):
+    # the constant terms come lazily, with p - 1 factored once: over
+    # F_999983 the search stops at c_0 = 5 of 999982 candidates
+    from curveclass import gf
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(gf, "prime_factors", counted)
+    assert primitive_modulus(999983, 2) == (5, 1, 1)
+    assert sorted(calls) == [999982, 999983**2 - 1]
+
+
 def test_index_digit_round_trip():
     k = field_create(3, 2)
     for idx in range(9):
@@ -278,7 +360,7 @@ def test_index_digit_round_trip():
 
 def test_squares_and_roots():
     # F_131 and F_243 are past the table limit: their squares come from
-    # digit arithmetic, and they build their tables on the first sqrt_idx
+    # untabled arithmetic, and they build their tables on the first sqrt_idx
     # call; the others read the log tables from the start
     for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2), (131, 1), (3, 5)]:
         k = field_create(p, m)
@@ -404,6 +486,8 @@ def test_poly_json_round_trip():
     k = field_create(3, 2)
     f = Poly(k, [0, 4, 7, 1])
     assert Poly.from_json(k, f.to_json()) == f
+    # wire digits are reduced mod p: [4, -1] is 1 + 2t, index 7
+    assert Poly.from_json(k, [[4, -1], [2, 3]]).coeffs == (7, 2)
 
 
 def test_gcd_and_squarefree():
@@ -533,7 +617,7 @@ def test_root_table_holds_every_irreducible():
 
 
 def test_orbit_table_against_brute_force():
-    # the orbits of x -> x^q, with x^q by repeated digit multiplication, against
+    # the orbits of x -> x^q, with x^q by repeated schoolbook multiplication, against
     # the table's least logs and lengths
     for p, m, n in [(2, 1, 1), (5, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 4), (5, 1, 3),
                     (7, 1, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2), (2, 3, 2)]:
@@ -545,7 +629,7 @@ def test_orbit_table_against_brute_force():
         def frob(x):
             y = x
             for _ in range(k.q - 1):
-                y = big.index_of(big._mul_digits_raw(big.digits(y), big.digits(x)))
+                y = big.index_of(mul_digits(big, big.digits(y), big.digits(x)))
             return y
 
         orbits = set()

@@ -1,15 +1,16 @@
 """F_p[x] has one packed representation: gf packs coefficients into ints
-(``pack_lanes`` and ``unpack_lanes``), the modulus searches multiply on
-``gf._FpRing``, and Hasse–Witt's truncated product packs through gf.  The
-schoolbook ``_fp_mul`` and its ``_fp_powmod_x`` stay gone, and hasse_witt
-does no packing of its own."""
+(``pack_lanes`` and ``unpack_lanes``), the modulus searches and the untabled
+arithmetic of every Field with m > 1 multiply on ``gf._FpRing``, and
+Hasse–Witt's truncated product packs through gf.  The schoolbook ``_fp_mul``
+and its ``_fp_powmod_x``, and the digit-vector product ``_mul_digits_raw``,
+stay gone, and hasse_witt does no packing of its own."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "curveclass"
 
-GONE = {"_fp_mul", "_fp_powmod_x"}
+GONE = {"_fp_mul", "_fp_powmod_x", "_mul_digits_raw"}
 PACKING = {"to_bytes", "from_bytes"}
 
 

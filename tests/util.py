@@ -18,6 +18,22 @@ def build(p, m=1, f=None, h=None, modulus=None):
     return validate(model_from_json(curve_json(p, m, f, h, modulus)))
 
 
+def mul_digits(k, da, db):
+    """The product of two digit vectors of k, schoolbook in F_p[t]/(modulus),
+    from ``k.modulus`` alone: a reference that calls no product of the package."""
+    p, m, f = k.p, k.m, k.modulus
+    out = [0] * (2 * m - 1)
+    for i, a in enumerate(da):
+        for j, b in enumerate(db):
+            out[i + j] += a * b
+    # t^m = -(f_0 + ... + f_{m-1} t^(m-1)): fold the top coefficient down
+    for top in range(2 * m - 2, m - 1, -1):
+        c = out[top] % p
+        for i in range(m):
+            out[top - m + i] -= c * f[i]
+    return tuple(c % p for c in out[:m])
+
+
 # lex-first hits from scripts/find_special_curves.py, frozen
 E_H3_F3 = (1, 2, 1, 1)        # x^3+x^2+2x+1 over F_3: L = 1 - u + 3u^2, h = 3
 E_H6_F3 = (0, 2, 1, 1)        # x^3+x^2+2x over F_3: h = 6
