@@ -10,21 +10,14 @@ search.
 
 import argparse
 import json
-from itertools import product
 
 from curveclass.curve import DoubleCover, closed_points, validate
 from curveclass.errors import CurveClassError
-from curveclass.gf import Poly, det_rank, field_create
+from curveclass.gf import Poly, det_rank, field_create, monic_polys
 from curveclass.hasse_witt import frobenius_matrix, hasse_witt_matrix, mat_mul
 from curveclass.ihara import ihara_sum_exceeds
 from curveclass.jacobian import jacobian_group, p_torsion_dim
 from curveclass.zeta import l_polynomial
-
-
-def monic_candidates(field, degree):
-    """Monic degree-``degree`` polys, low coefficients first, lex order."""
-    for tail in product(range(field.q), repeat=degree):
-        yield Poly(field, tail + (1,))
 
 
 def validated(field, f):
@@ -52,7 +45,7 @@ def emit(tag, field, curve, lp, extra=None):
 def search_class_number(q, degree, target_h):
     """First monic squarefree f of the given degree with h = target_h."""
     field = field_create(q, 1)
-    for f in monic_candidates(field, degree):
+    for f in monic_polys(field, degree):
         curve = validated(field, f)
         if curve is None:
             continue
@@ -70,7 +63,7 @@ def search_undetermined(q, p):
     class-group obstruction is present but the Ihara bound cannot refute.
     """
     field = field_create(q, 1)
-    for f in monic_candidates(field, 5):
+    for f in monic_polys(field, 5):
         curve = validated(field, f)
         if curve is None:
             continue
@@ -95,7 +88,7 @@ def search_oracle_quintic(q):
     Pinned as a genus-2 fixture for the zeta-vs-enumeration cross-check.
     """
     field = field_create(q, 1)
-    for f in monic_candidates(field, 5):
+    for f in monic_polys(field, 5):
         curve = validated(field, f)
         if curve is None:
             continue
@@ -111,7 +104,7 @@ def search_group_shape(q, degree, factors):
     """First squarefree monic f over F_q whose Pic^0 has the given invariant
     factors, for the equal-order, different-shape oracle fixtures."""
     field = field_create(q, 1)
-    for f in monic_candidates(field, degree):
+    for f in monic_polys(field, degree):
         curve = validated(field, f)
         if curve is None:
             continue
@@ -127,7 +120,7 @@ def search_p_torsion(p, m, degree, target_s):
     target_s, by the oracle: the pinned s = 2 fixtures of the Hasse–Witt
     tests."""
     field = field_create(p, m)
-    for f in monic_candidates(field, degree):
+    for f in monic_polys(field, degree):
         curve = validated(field, f)
         if curve is None:
             continue
@@ -161,7 +154,7 @@ def search_reversed_product(p, m, degree):
     right order (`frobenius_matrix`) is checked against the oracle too."""
     field = field_create(p, m)
     g = (degree - 1) // 2
-    for f in monic_candidates(field, degree):
+    for f in monic_polys(field, degree):
         a = hasse_witt_matrix(f, g)
         s_right = _s_of(frobenius_matrix(a, field), field)
         s_wrong = _s_of(_reversed_product(a, field), field)

@@ -15,11 +15,11 @@ table; which arithmetic gets computed depends on the case:
 A marked point enters only through its degree, so no closed point is built:
 an id d{D}#{k} exists exactly when k is below the number of finite closed
 points of degree D, which ``curve.closed_point_counts`` takes from the point
-counts N_e, e | D, by Moebius inversion (``resolve_point_degrees``).  The
-N_e with e <= g are counted; when D > g the rest come from L(u).  A call
-computes L(u) at most once, after the q^D budget check that every id
-passes, and the cases that need h read it from the same object.  So no id
-builds a field past F_{q^(g+1)}.
+counts N_e, e | D, by Moebius inversion (``resolve_point_degrees``).  When
+D > g, or L(u) is already known, every N_e comes from L(u); otherwise the
+N_e are counted.  A call computes L(u) at most once, after the q^D budget
+check that every id passes, and the cases that need h read it from the
+same object.  So no id builds a field past F_{q^(g+1)}.
 
 Verdicts are KPI1_TRUE / KPI1_FALSE / UNDETERMINED; UNDETERMINED is a
 first-class outcome, reported without any heuristic guess.
@@ -189,8 +189,8 @@ def resolve_point_degrees(curve: Curve, ids, budget: int | None = None) -> list[
     (``closed_point_counts``), and d{D}#inf{k} must be the id of a place at
     infinity.  Every id is parsed, and the budget for the largest degree
     checked, before any arithmetic; the first unknown id in sorted order is
-    reported.  When that degree exceeds the genus g, the counts past N_g
-    come from L(u) (``l_polynomial``).
+    reported.  When that degree exceeds the genus g, the counts come from
+    L(u) (``l_polynomial``).
     """
     cap = check_budget(curve.field.q, 0, budget)
     return _resolve_point_degrees(curve, ids, cap, None)[0]

@@ -36,7 +36,11 @@ Conventions used throughout the package:
   per orbit.
 * Polynomials over F_q store a tuple of element indices, low degree first,
   with no trailing zeros.  The zero polynomial has an empty tuple and its
-  degree is the NEG_INF sentinel, never a number.
+  degree is the NEG_INF sentinel, never a number.  F_p[x] has one product:
+  packed lanes and one int product (Kronecker substitution), for Poly over
+  a prime field and for _FpRing; Poly over F_{p^m}, m > 1, multiplies
+  schoolbook.  Irreducibility has one test, Ben-Or's, run on _FpRing for
+  moduli and on Poly by is_irreducible.
 * Deterministic order on polynomials: by degree, then by the coefficient
   tuple compared low degree first.  All enumeration and factor output uses
   this order.
@@ -172,8 +176,9 @@ def necklace_count(q: int, d: int) -> int:
 # F_p[x] on packed ints, used to find moduli and to multiply without tables
 #
 # A polynomial over F_p packs into one int, one lane per coefficient, so a
-# product is one int product (Kronecker substitution).  _FpRing is F_p[x]/(f)
-# on such ints, and F_{p^m} multiplies on it until its tables are built.
+# product is one int product (Kronecker substitution).  Poly over a prime
+# field multiplies this way; _FpRing is F_p[x]/(f) on such ints, and F_{p^m}
+# multiplies on it until its tables are built.
 # The modulus searches rest on two facts:
 # * Ben-Or (1981): f of degree m is irreducible iff gcd(x^(p^k) - x, f) = 1
 #   for k = 1 .. m // 2; most reducible f fail within a few steps.
@@ -306,17 +311,6 @@ def _fp_is_irreducible(coeffs: list[int], p: int) -> bool:
     return d == 1 or (d > 1 and not _FpRing(coeffs, p).has_small_factor())
 
 
-def _fp_has_unit_root(coeffs: list[int], p: int) -> bool:
-    """Whether the polynomial over F_p vanishes at some a in F_p^*."""
-    for a in range(1, p):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * a + c) % p
-        if not v:
-            return True
-    return False
-
-
 def _monic_candidates(constants: Iterable[int], p: int, m: int) -> Iterator[list[int]]:
     """Monic [c_0, ..., c_{m-1}, 1] with c_0 from constants and the rest in 0..p-1.
 
@@ -357,10 +351,11 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Candidates run in the canonical modulus order.  Only constant terms with
     (-1)^m f(0) a generator of F_p^* are tried: that is the norm of t, which
-    a generator maps onto.  Candidates with a root in F_p^* are skipped, the
-    rest must pass Ben-Or's test, and then x generates iff x^(n/r) != 1 for
-    the primes r | n = p^m - 1 that do not divide p - 1: x^n = 1 holds over
-    an irreducible f, and the norm covers r | p - 1 (see above).
+    a generator maps onto.  Each candidate must pass Ben-Or's test, whose
+    first gcd(x^p - x, f) catches every root in F_p (f(0) != 0 here), and
+    then x generates iff x^(n/r) != 1 for the primes r | n = p^m - 1 that
+    do not divide p - 1: x^n = 1 holds over an irreducible f, and the norm
+    covers r | p - 1 (see above).
     """
     n = p**m - 1
     cofactors = [n // r for r in prime_factors(n) if (p - 1) % r]
@@ -369,8 +364,6 @@ def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     # always stops at one of the first few
     constants = (c for c in range(1, p) if all(pow((-1) ** m * c, e, p) != 1 for e in units))
     for cand in _monic_candidates(constants, p, m):
-        if _fp_has_unit_root(cand, p):
-            continue
         ring = _FpRing(cand, p)
         if not ring.has_small_factor() and all(ring.pow(ring.x, e) != 1 for e in cofactors):
             _PRIMITIVE_MODULI[p, m] = tuple(cand)
@@ -757,7 +750,15 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F, ())
-        out = [0] * (len(a) + len(b) - 1)
+        n = len(a) + len(b) - 1
+        if F.m == 1:
+            # an F_p element's index is its value: one packed int product, in
+            # lanes that hold a sum of min(len) products below p^2
+            p = F.p
+            width = lane_width(min(len(a), len(b)) * (p - 1) ** 2)
+            prod = pack_lanes(a, width) * pack_lanes(b, width)
+            return Poly(F, [c % p for c in unpack_lanes(prod, width, n)])
+        out = [0] * n
         mul, add = F.mul_idx, F.add_idx
         for i, ai in enumerate(a):
             if ai:
@@ -805,8 +806,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def monic(self) -> "Poly":
@@ -895,26 +897,16 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Monic-insensitive irreducibility test over F_q."""
+    """Monic-insensitive irreducibility test over F_q, by Ben-Or's test as
+    in ``_FpRing.has_small_factor``: gcd(x^(q^k) - x, f) = 1 for k <= deg f / 2."""
     if f.is_zero or f.degree == 0:
         return False
     f = f.monic()
-    d = f.degree
-    if d == 1:
-        return True
-    q = f.field.q
     x = x_poly(f.field)
-    # x^(q^j) mod f for the j values we need
-    frob = {0: x % f}
-    cur = x % f
-    for j in range(1, d + 1):
-        cur = pow_mod(cur, q, f)
-        frob[j] = cur
-    if frob[d] != x % f:
-        return False
-    for ell in prime_factors(d):
-        g = poly_gcd(frob[d // ell] - x, f)
-        if g.degree != 0:
+    u = x % f
+    for _ in range(f.degree // 2):
+        u = pow_mod(u, f.field.q, f)
+        if poly_gcd(u - x, f).degree != 0:
             return False
     return True
 

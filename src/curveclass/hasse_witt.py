@@ -10,48 +10,18 @@ entry to the p-th power; the order of the product matters once m > 1
 * det(I - A_pi) = L(1) = h mod p, checked against the class number from the
   zeta layer on every call.
 
-This is polynomial in g, p and m and enumerates nothing.  Over a prime field
-f^((p-1)/2) comes from Kronecker substitution on Python ints, packed by gf's
-lane helpers; only exponents below gp enter A, so every product is truncated
-there.  The determinant and rank come from gf.det_rank, the package's one
-elimination over a field.
+This is polynomial in g, p and m and enumerates nothing.  f^((p-1)/2) is
+``Poly **``, which over a prime field multiplies by Kronecker substitution
+(gf's one F_p[x] product); only exponents below gp enter A.  The
+determinant and rank come from gf.det_rank, the package's one elimination
+over a field.
 """
 
 from __future__ import annotations
 
 from .curve import Curve
 from .errors import CurveClassError
-from .gf import Field, Poly, det_rank, lane_width, pack_lanes, unpack_lanes
-
-
-def _fp_mul_truncated(a: list[int], b: list[int], p: int, n: int) -> list[int]:
-    """a * b mod p below x^n, for coefficient lists over F_p."""
-    if not a or not b:
-        return []
-    # a coefficient of the integer product is a sum of at most min(len) terms
-    width = lane_width(min(len(a), len(b)) * (p - 1) ** 2)
-    prod = pack_lanes(a, width) * pack_lanes(b, width)
-    out = [c % p for c in unpack_lanes(prod, width, len(a) + len(b) - 1)[:n]]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def fp_power_truncated(coeffs, e: int, p: int, n: int) -> list[int]:
-    """Coefficients of (sum coeffs[k] x^k)^e mod p below x^n, constant first.
-
-    Square-and-multiply with every product done as one Python int product
-    (Kronecker substitution); trailing zeros are dropped.
-    """
-    result = [1] if n > 0 else []
-    base = [c % p for c in coeffs][:n]
-    while e:
-        if e & 1:
-            result = _fp_mul_truncated(result, base, p, n)
-        e >>= 1
-        if e:
-            base = _fp_mul_truncated(base, base, p, n)
-    return result
+from .gf import Field, Poly, det_rank
 
 
 def hasse_witt_matrix(f: Poly, g: int) -> list[list[int]]:
@@ -61,11 +31,8 @@ def hasse_witt_matrix(f: Poly, g: int) -> list[list[int]]:
     if p == 2:
         raise CurveClassError("the Hasse–Witt matrix needs odd characteristic")
     n = g * p
-    if field.m == 1:
-        c = fp_power_truncated(f.coeffs, (p - 1) // 2, p, n)
-    else:
-        c = (f ** ((p - 1) // 2)).coeffs[:n]
-    c = list(c) + [0] * (n - len(c))
+    c = list((f ** ((p - 1) // 2)).coeffs[:n])
+    c += [0] * (n - len(c))
     return [[c[i * p - j] if i * p >= j else 0 for j in range(1, g + 1)]
             for i in range(1, g + 1)]
 

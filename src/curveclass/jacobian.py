@@ -27,7 +27,8 @@ identity and inverses on all elements, plus seeded random closure and
 associativity checks.  The torsion step adds closure under x -> l*x on
 every element and checks that each l-Sylow subgroup has exactly
 l^{v_l(N)} elements.  The walk checks h*x = 0 on each element it takes and
-that the p-Sylow subgroup it builds has exactly p^{v_p(h)} elements.
+that the p-Sylow subgroup it builds has exactly p^{v_p(h)} elements, then
+runs the same torsion step, with its checks, on that subgroup.
 """
 
 from __future__ import annotations
@@ -187,64 +188,67 @@ def _group_sanity(elements, f: Poly, g: int, identity) -> None:
             raise CurveClassError("internal: associativity fails")
 
 
+def _l_exponents(elements, l: int, f: Poly, g: int, identity) -> list[int]:
+    """Exponents of the cyclic l-power components of the group on elements,
+    largest first."""
+    a, n = 0, len(elements)
+    while n % l == 0:
+        n //= l
+        a += 1
+    # one composition chain per element builds x -> l*x; the l-power
+    # torsion is then read off by walking the map, not by composing
+    times_l = {x: _scalar(l, x, f, g, identity) for x in elements}
+    if any(y not in times_l for y in times_l.values()):
+        raise CurveClassError("internal: composition left the divisor set")
+    # counts[j] = number of elements of order exactly l^j
+    counts = [0] * (a + 1)
+    for x in elements:
+        y = x
+        for j in range(a + 1):
+            if y == identity:
+                counts[j] += 1
+                break
+            y = times_l[y]
+    if counts[0] != 1:
+        raise CurveClassError("internal: identity must be the only 0-torsion element")
+    # running sums are #G[l^j]; successive ratios l^{d_j} give
+    # d_j = number of cyclic l-components with exponent >= j
+    profile = []
+    prev = counts[0]
+    running = counts[0]
+    for j in range(1, a + 1):
+        running += counts[j]
+        if running % prev:
+            raise CurveClassError("internal: torsion counts must nest")
+        ratio = running // prev
+        d = 0
+        while ratio > 1:
+            if ratio % l:
+                raise CurveClassError("internal: torsion ratio not an l-power")
+            ratio //= l
+            d += 1
+        profile.append(d)
+        prev = running
+    if running != l**a:
+        raise CurveClassError("internal: l-Sylow subgroup must have l^a elements")
+    if any(profile[i] < profile[i + 1] for i in range(len(profile) - 1)):
+        raise CurveClassError("internal: exponent profile must be non-increasing")
+    # the conjugate partition of the profile is the exponent multiset
+    exps = []
+    i = 1
+    while profile and profile[0] >= i:
+        exps.append(sum(1 for dj in profile if dj >= i))
+        i += 1
+    if sum(exps) != a:
+        raise CurveClassError("internal: exponents must sum to the l-valuation")
+    return exps
+
+
 def _invariant_factors(elements, f: Poly, g: int, identity) -> tuple[int, ...]:
     N = len(elements)
     if N == 1:
         return ()
-    parts: dict[int, list[int]] = {}
-    for l in prime_factors(N):
-        a = 0
-        n = N
-        while n % l == 0:
-            n //= l
-            a += 1
-        # one composition chain per element builds x -> l*x; the l-power
-        # torsion is then read off by walking the map, not by composing
-        times_l = {x: _scalar(l, x, f, g, identity) for x in elements}
-        if any(y not in times_l for y in times_l.values()):
-            raise CurveClassError("internal: composition left the divisor set")
-        # counts[j] = number of elements of order exactly l^j
-        counts = [0] * (a + 1)
-        for x in elements:
-            y = x
-            for j in range(a + 1):
-                if y == identity:
-                    counts[j] += 1
-                    break
-                y = times_l[y]
-        if counts[0] != 1:
-            raise CurveClassError("internal: identity must be the only 0-torsion element")
-        # running sums are #G[l^j]; successive ratios l^{d_j} give
-        # d_j = number of cyclic l-components with exponent >= j
-        profile = []
-        prev = counts[0]
-        running = counts[0]
-        for j in range(1, a + 1):
-            running += counts[j]
-            if running % prev:
-                raise CurveClassError("internal: torsion counts must nest")
-            ratio = running // prev
-            d = 0
-            while ratio > 1:
-                if ratio % l:
-                    raise CurveClassError("internal: torsion ratio not an l-power")
-                ratio //= l
-                d += 1
-            profile.append(d)
-            prev = running
-        if running != l**a:
-            raise CurveClassError("internal: l-Sylow subgroup must have l^a elements")
-        if any(profile[i] < profile[i + 1] for i in range(len(profile) - 1)):
-            raise CurveClassError("internal: exponent profile must be non-increasing")
-        # the conjugate partition of the profile is the exponent multiset
-        exps = []
-        i = 1
-        while profile and profile[0] >= i:
-            exps.append(sum(1 for dj in profile if dj >= i))
-            i += 1
-        if sum(exps) != a:
-            raise CurveClassError("internal: exponents must sum to the l-valuation")
-        parts[l] = exps
+    parts = {l: _l_exponents(elements, l, f, g, identity) for l in prime_factors(N)}
     r = max(len(v) for v in parts.values())
     inv = []
     for i in range(r):
@@ -321,7 +325,8 @@ def p_sylow_rank(curve: Curve, p: int, h: int) -> int:
     in ``_mumford_walk`` order and each x is mapped to y = (h/p^a)*x,
     p^a = p^{v_p(h)}.  The subgroup these y generate grows one coset of
     each new y at a time until it holds p^a elements: that is the p-Sylow
-    subgroup P, and the answer is log_p #{y in P : p*y = 0}.  Every walked
+    subgroup P, and the answer is the number of its cyclic components, from
+    the l-power torsion step (``_l_exponents``) with l = p.  Every walked
     x must satisfy h*x = 0, and P must reach exactly p^a elements before
     the walk runs out.
     """
@@ -358,11 +363,4 @@ def p_sylow_rank(curve: Curve, p: int, h: int) -> int:
             break
     else:
         raise CurveClassError("internal: the walk ran out before the p-Sylow subgroup was full")
-    killed = sum(1 for y in sylow if _scalar(p, y, f, g, identity) == identity)
-    s = 0
-    while killed % p == 0:
-        killed //= p
-        s += 1
-    if killed != 1 or s == 0:
-        raise CurveClassError("internal: the p-torsion of the p-Sylow subgroup must be p^s > 1")
-    return s
+    return len(_l_exponents(list(sylow), p, f, g, identity))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from array import array
 
 import pytest
@@ -350,6 +351,17 @@ def test_primitive_modulus_factors_each_order_once(monkeypatch):
     monkeypatch.setattr(gf, "prime_factors", counted)
     assert primitive_modulus(999983, 2) == (5, 1, 1)
     assert sorted(calls) == [999982, 999983**2 - 1]
+
+
+def test_primitive_modulus_over_a_30_bit_prime_is_fast():
+    # each candidate costs Ben-Or's O(log p) steps, not a scan of F_p for
+    # roots, which took O(p) per candidate
+    p = 10**9 + 7
+    start = time.perf_counter()
+    mod = primitive_modulus(p, 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    assert _x_has_full_order(mod, p)
 
 
 def test_index_digit_round_trip():

@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -98,3 +99,40 @@ def test_qsqrtvalue_add_exact():
     y = QSqrtValue(Fraction(2, 3), Fraction(6, 7), 5)
     z = x + y
     assert (z.a, z.b, z.q) == (Fraction(1), Fraction(1), 5)
+
+
+def _reference_sign(a, b, q, root):
+    # the sign of a + b sqrt(q) against a^2 and b^2 q, or with the integer
+    # root when q is a square
+    if root is not None:
+        v = a + b * root
+        return (v > 0) - (v < 0)
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if not sb or sa == sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > b * b * q else sb
+
+
+def test_qsqrtvalue_sign_on_every_sign_pattern_seeded():
+    # a and b each zero, positive or negative, with |a| near |b| sqrt(q) where
+    # the signs differ, over square and non-square q
+    rng = random.Random(0x5167)
+    seen = set()
+    for q in (2, 3, 5, 7, 8, 27, 4, 9, 25, 49):
+        root = math.isqrt(q) if math.isqrt(q) ** 2 == q else None
+        for _ in range(200):
+            b = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+            near = b * (root if root is not None else Fraction(math.isqrt(100 * q), 10))
+            a = rng.choice([Fraction(0), -near, near + Fraction(rng.randint(-3, 3), 7),
+                            Fraction(rng.randint(-30, 30), rng.randint(1, 9))])
+            got = QSqrtValue(a, b, q).sign()
+            assert got == _reference_sign(a, b, q, root), (a, b, q)
+            seen.add(((a > 0) - (a < 0), (b > 0) - (b < 0), root is None, got))
+    # every (sign a, sign b) pair with non-square q, and both outcomes where
+    # the signs differ
+    patterns = {(sa, sb) for sa, sb, nonsquare, _ in seen if nonsquare}
+    assert patterns == {(sa, sb) for sa in (-1, 0, 1) for sb in (-1, 0, 1)}
+    for sa, sb in ((1, -1), (-1, 1)):
+        assert {got for a_, b_, ns, got in seen if (a_, b_, ns) == (sa, sb, True)} == {-1, 1}

@@ -22,7 +22,7 @@ from curveclass import (
     resolve_point_degrees,
 )
 from curveclass.errors import CurveClassError
-from util import E_H3_F3, E_H6_F3, E_Z4_F3, G2_X5PX, build
+from util import E_H3_F3, E_H6_F3, E_Z4_F3, G2_X5PX, S2_F3, build
 
 
 def test_projective_line_trivial():
@@ -287,6 +287,24 @@ def test_closed_point_counts_from_l_polynomial_seeded():
                         p, m, c.model.f.coeffs, c.model.h.coeffs, top)
     # both kinds of even-degree model, in both characteristics
     assert {(False, "d2#inf0"), (True, "d2#inf0"), (False, "d1#inf1"), (True, "d1#inf1")} <= places
+
+
+def test_closed_point_counts_with_l_polynomial_count_nothing(monkeypatch):
+    # L(u) is built from N_1 .. N_g, so given it no N_e, e <= g among them,
+    # is counted again; the counts equal the ones made without it
+    curves = [build(5), build(3, f=E_Z4_F3), build(5, f=G2_X5PX), build(3, f=S2_F3),
+              _random_genus_model(random.Random(0x1F1), 2, 2, 1, 1)]
+    want = {}
+    for i, c in enumerate(curves):
+        want[i] = (l_polynomial(c), [closed_point_counts(c, top) for top in range(1, 6)])
+
+    def no_count(*args):
+        raise AssertionError("counted with L(u) given")
+
+    monkeypatch.setattr(curve_mod, "count_points", no_count)
+    for i, c in enumerate(curves):
+        lp, counts = want[i]
+        assert [closed_point_counts(c, top, lp=lp) for top in range(1, 6)] == counts, i
 
 
 def test_closed_point_counts_refuses_another_curves_l_polynomial():
