@@ -193,7 +193,7 @@ _LANE_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little
 def lane_width(bound: int) -> int:
     """Bytes per lane for lane values up to bound: 1, 2, 4 or 8, else as many as it takes."""
     w = (bound.bit_length() + 7) // 8
-    return next((c for c in (1, 2, 4, 8) if c >= w), w)
+    return (1, 1, 2, 4, 4, 8, 8, 8, 8)[w] if w <= 8 else w
 
 
 def pack_lanes(coeffs, width: int) -> int:
@@ -201,7 +201,7 @@ def pack_lanes(coeffs, width: int) -> int:
     code = _LANE_CODES.get(width)
     if not code:
         return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
-    return int.from_bytes(array(code, coeffs).tobytes(), "little")
+    return int.from_bytes(array(code, coeffs), "little")
 
 
 def unpack_lanes(value: int, width: int, count: int) -> list[int]:
