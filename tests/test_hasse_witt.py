@@ -2,9 +2,10 @@
 
 s = g - rank(A_pi - I) is checked against the Jacobian oracle's
 dim Pic^0(F_q)[p] on seeded random curves and on pinned ones, `Poly **`
-over F_p against a schoolbook convolution, and the reports of `classify` against digests
-recorded when every char-p s still came from the oracle: inside the
-oracle's gates (where the oracle must no longer run) and at each gate.
+over F_p against a schoolbook convolution, and the reports of `classify`
+against digests recorded when every char-p s still came from the oracle:
+inside the oracle's gates (where the oracle must no longer run) and at
+each gate.
 """
 
 import hashlib

@@ -294,17 +294,15 @@ def test_closed_point_counts_with_l_polynomial_count_nothing(monkeypatch):
     # is counted again; the counts equal the ones made without it
     curves = [build(5), build(3, f=E_Z4_F3), build(5, f=G2_X5PX), build(3, f=S2_F3),
               _random_genus_model(random.Random(0x1F1), 2, 2, 1, 1)]
-    want = {}
-    for i, c in enumerate(curves):
-        want[i] = (l_polynomial(c), [closed_point_counts(c, top) for top in range(1, 6)])
+    want = [(l_polynomial(c), [closed_point_counts(c, top) for top in range(1, 6)])
+            for c in curves]
 
     def no_count(*args):
         raise AssertionError("counted with L(u) given")
 
     monkeypatch.setattr(curve_mod, "count_points", no_count)
-    for i, c in enumerate(curves):
-        lp, counts = want[i]
-        assert [closed_point_counts(c, top, lp=lp) for top in range(1, 6)] == counts, i
+    for c, (lp, counts) in zip(curves, want):
+        assert [closed_point_counts(c, top, lp=lp) for top in range(1, 6)] == counts, c
 
 
 def test_closed_point_counts_refuses_another_curves_l_polynomial():
