@@ -66,7 +66,6 @@ from .gf import (
     Field,
     Poly,
     field_create,
-    is_irreducible,
     necklace_count,
     poly_factor,
     poly_gcd,
@@ -133,7 +132,6 @@ __all__ = [
     "invariants_rank",
     "invcoinv_dims",
     "irreducibles",
-    "is_irreducible",
     "jacobian_group",
     "l_polynomial",
     "lemma51_check",

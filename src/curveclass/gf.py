@@ -17,13 +17,14 @@ Conventions used throughout the package:
   log, plus Zech logarithms zech[k] = log(1 + g^k) for addition.  Fields
   with q <= 128 build them at construction; larger ones on the first call
   to Field.tables(), which count_points makes for the extension it counts
-  over, and sqrt_idx makes in odd characteristic.  Over a primitive
-  modulus g is t, and the powers of t are read off an index table of
-  x -> t*x built a block of p^(m-1) indices at a time; other fields
-  multiply by g once per power.  Untabulated fields do everything but
-  square roots without tables: a prime field on plain ints mod p, F_{p^m}
-  with m > 1 on its _FpRing, the one F_p[t]/(modulus) product, with sums
-  and negatives taken digit by digit.
+  over, and sqrt_idx makes in odd characteristic.  For m > 1 the powers
+  of t are read off an index table of x -> t*x built a block of p^(m-1)
+  indices at a time.  When t generates, g is t; otherwise t generates a
+  subgroup, and the same table walks each of its cosets from a leader
+  g^j.  Untabulated fields do everything but square roots without
+  tables: a prime field on plain ints mod p, F_{p^m} with m > 1 on its
+  _FpRing, the one F_p[t]/(modulus) product, with sums and negatives
+  taken digit by digit.
 * det_rank is the one Gaussian elimination over a field, for Hasse–Witt and
   for the G-module harness over F_p.
 * Residue fields F_q[x]/(pi) are not a type of their own.  An Extension is
@@ -39,8 +40,8 @@ Conventions used throughout the package:
   degree is the NEG_INF sentinel, never a number.  F_p[x] has one product:
   packed lanes and one int product (Kronecker substitution), for Poly over
   a prime field and for _FpRing; Poly over F_{p^m}, m > 1, multiplies
-  schoolbook.  Irreducibility has one test, Ben-Or's, run on _FpRing for
-  moduli and on Poly by is_irreducible.
+  schoolbook.  Irreducibility has one test, Ben-Or's on _FpRing, for
+  moduli; the irreducibles over F_q are the keys of Extension.roots.
 * Deterministic order on polynomials: by degree, then by the coefficient
   tuple compared low degree first.  All enumeration and factor output uses
   this order.
@@ -439,39 +440,52 @@ class Field:
         twice so a sum of two logs needs no reduction; log[a] is the k < q-1
         with g^k = a (log[0] is unused); zech[k] is log(1 + g^k), or -1
         where 1 + g^k = 0.  Each is an array of 4-byte ints, 16 bytes per
-        element in all.  When t itself is primitive the powers are read off
-        ``_mul_t``, a table of x -> t*x on every index built a block at a
-        time.  Otherwise x -> x*g runs on ints mod p, or for m > 1 on a
-        residue of the field's ring, converted to an index once per power.
+        element in all.  A prime field steps x -> x*g on ints mod p.  For
+        m > 1 the powers of t are read off ``_mul_t``, a table of x -> t*x
+        on every index built a block at a time.  When t is not primitive it
+        has order d = (q-1)/c, and F_q^* is the c cosets g^j <t>: one
+        product gives each leader g^j, and a walk on ``_mul_t`` from it
+        gives the rest of its coset.
         """
         if self._exp is None:
             p, n = self.p, self.q - 1
             g = self._primitive_element()
             exp = array("i", [0]) * (2 * n)
             x = 1
-            if self.m > 1 and g == p:
+            if self.m == 1:
+                for k in range(n):
+                    exp[k] = x
+                    x = x * g % p
+            else:
                 mul_t = self._mul_t()
                 for k in range(n):
                     exp[k] = x
                     x = mul_t[x]
                     if x == 1:
                         break
+                if g != p and x == 1:
+                    # t has order d = k + 1 and generates the subgroup of
+                    # index c, which holds g^c = t^i0: so t = g^e, and the
+                    # walk from each coset leader g^j fills g^(j + e*i)
+                    d = k + 1
+                    if n % d:
+                        raise CurveClassError("internal: the order of t must divide q - 1")
+                    c = n // d
+                    try:
+                        e = c * pow(exp.index(self.pow_idx(g, c), 0, d), -1, d)
+                    except ValueError:
+                        raise CurveClassError("internal: g^c must generate the powers of t") from None
+                    offsets = [e * i % n for i in range(d)]
+                    leader = 1
+                    for j in range(c):
+                        y = leader
+                        for off in offsets:
+                            exp[j + off] = y
+                            y = mul_t[y]
+                        leader = self.mul_idx(leader, g)
                 del mul_t
-            elif self.m == 1:
-                for k in range(n):
-                    exp[k] = x
-                    x = x * g % p
-            else:
-                # x stays a residue of the ring between steps
-                reduce, index, width = self._ring.reduce, self.index_of, self._ring.width
-                gr, xr = self._pack(g), 1
-                for k in range(n):
-                    exp[k] = x
-                    lanes = reduce(xr * gr)
-                    x = index(lanes)
-                    xr = pack_lanes(lanes, width)
             # g = t may come untested from primitive_modulus: check its order
-            if x != 1 or k != n - 1:
+            if x != 1 or (g == p and k != n - 1):
                 raise CurveClassError("internal: powers of g must first return to 1 at step q - 1")
             exp[n:] = exp[:n]
             log = array("i", [0]) * self.q
@@ -894,21 +908,6 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
         base = (base * base) % mod
         e >>= 1
     return result
-
-
-def is_irreducible(f: Poly) -> bool:
-    """Monic-insensitive irreducibility test over F_q, by Ben-Or's test as
-    in ``_FpRing.has_small_factor``: gcd(x^(q^k) - x, f) = 1 for k <= deg f / 2."""
-    if f.is_zero or f.degree == 0:
-        return False
-    f = f.monic()
-    x = x_poly(f.field)
-    u = x % f
-    for _ in range(f.degree // 2):
-        u = pow_mod(u, f.field.q, f)
-        if poly_gcd(u - x, f).degree != 0:
-            return False
-    return True
 
 
 def squarefree(f: Poly) -> bool:

@@ -13,7 +13,6 @@ from curveclass import (
     ZeroPolynomial,
     field_create,
     irreducibles,
-    is_irreducible,
     necklace_count,
     poly_factor,
     poly_gcd,
@@ -33,7 +32,7 @@ from curveclass.gf import (
     x_poly,
 )
 from curveclass.snf import mat_det
-from util import mul_digits
+from util import is_irreducible_by_division, mul_digits
 
 
 def test_canonical_moduli():
@@ -106,8 +105,9 @@ def test_tables_match_digit_arithmetic():
 
 def test_count_point_tables_match_digit_arithmetic_seeded():
     # F_243 over its primitive modulus, as count_points builds it (tables
-    # from the multiply-by-t index table), and F_256 over the canonical modulus, whose root t
-    # has order 51 (tables by a walk on the field's packed ring)
+    # from the multiply-by-t index table), and F_256 over the canonical
+    # modulus, whose root t has order 51 (tables from the five cosets of
+    # <t>, each walked on the same table)
     rng = random.Random(243)
     for k in [Field(3, 5, primitive_modulus(3, 5)), field_create(2, 8)]:
         assert k.q > 128
@@ -169,12 +169,15 @@ def _untabled_ops(k, rng):
     return out
 
 
-@pytest.mark.parametrize("p, m, g", [(131, 1, 2), (2, 8, 6), (5, 4, 30), (3, 5, 3)])
+@pytest.mark.parametrize("p, m, g", [(131, 1, 2), (2, 8, 6), (5, 4, 30), (3, 5, 3),
+                                     (31, 2, 35), (13, 3, 18), (101, 2, 120)])
 def test_untabled_arithmetic_matches_tables_seeded(p, m, g):
     # the same values before tables() (plain ints mod p, or the packed ring
-    # for m > 1) and after (exp/log/Zech).  F_131 walks g on ints; F_{2^8}
-    # and F_{5^4} have a t that does not generate, so their tables come
-    # from the packed walk by g; F_{3^5}'s come from the multiply-by-t table
+    # for m > 1) and after (exp/log/Zech).  F_131 walks g on ints; F_{3^5}'s
+    # t generates, and its tables are one walk on the multiply-by-t table.
+    # In the other fields t does not generate: the powers of g fill the
+    # c = (q - 1)/ord(t) cosets of <t>, each walked on the same table, with
+    # c = 5, 8, 240, 18 and 3400 in turn
     k = Field(p, m)
     assert k.q > 128 and k._exp is None
     before = _untabled_ops(k, random.Random(p * 100 + m))
@@ -184,6 +187,24 @@ def test_untabled_arithmetic_matches_tables_seeded(p, m, g):
     if g != p:
         want = _reference_tables(k, g)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (p, m)
+
+
+def test_coset_walk_takes_few_ring_products(monkeypatch):
+    # t has order 820 in F_{3^8} over its canonical modulus, so c = 8: the
+    # tables take a ring product per coset leader, not one per element
+    from curveclass import gf
+
+    k = Field(3, 8)
+    calls = []
+    reduce = gf._FpRing.reduce
+
+    def counted(self, c):
+        calls.append(c)
+        return reduce(self, c)
+
+    monkeypatch.setattr(gf._FpRing, "reduce", counted)
+    assert k.tables()[0][1] != 3  # g is not t
+    assert len(calls) < (k.q - 1) // 4
 
 
 @pytest.mark.parametrize("p, m", [(2**61 - 1, 1), (3, 100)])
@@ -268,6 +289,15 @@ def test_walk_from_t_checks_its_order(monkeypatch):
     monkeypatch.setitem(gf._PRIMITIVE_MODULI, (3, 2), (1, 0, 1))
     with pytest.raises(CurveClassError, match="first return to 1"):
         Field(3, 2, (1, 0, 1))
+
+
+def test_coset_walk_checks_its_generator(monkeypatch):
+    # t = i has order 4 in F_9 = F_3[t]/(t^2 + 1), so c = 2; a forged g = -1
+    # has g^2 = 1 = t^0, and 0 has no inverse mod 4: an internal error, not
+    # a ValueError
+    monkeypatch.setattr(Field, "_primitive_element", lambda self: 2)
+    with pytest.raises(CurveClassError, match="internal: g\\^c"):
+        Field(3, 2)
 
 
 def test_extension_rho_is_least_linear_factor_root():
@@ -543,7 +573,7 @@ def test_poly_factor_deterministic_and_correct():
         assert fac1 == fac2
         prod = Poly(k, [1]).scale(f.leading())
         for pi, e in fac1:
-            assert pi.is_monic and is_irreducible(pi)
+            assert pi.is_monic and is_irreducible_by_division(pi)
             prod = prod * pi**e
         assert prod == f
         # deterministic order: sorted by (degree, coeff tuple)
@@ -623,7 +653,7 @@ def test_root_table_holds_every_irreducible():
         k = field_create(p, m)
         ext = _extension(k, d)
         pis = irreducibles(k, d)
-        assert pis == [pi for pi in monic_polys(k, d) if is_irreducible(pi)]
+        assert pis == [pi for pi in monic_polys(k, d) if is_irreducible_by_division(pi)]
         for pi in pis:
             assert ext.evaluate(pi, ext.root(pi)) == 0
 

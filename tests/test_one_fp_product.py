@@ -4,8 +4,10 @@ on them, and the modulus searches and the untabled arithmetic of every Field
 with m > 1 multiply on ``gf._FpRing``.  Hasse–Witt's power is ``Poly **``.
 The schoolbook ``_fp_mul`` and its ``_fp_powmod_x``, the digit-vector
 product ``_mul_digits_raw``, Hasse–Witt's truncated Kronecker product and
-power, and the unit-root scan that repeated Ben-Or's first step stay gone,
-and hasse_witt does no packing of its own."""
+power, the unit-root scan that repeated Ben-Or's first step, and the second
+Ben-Or on ``Poly`` (``is_irreducible``) stay gone, and hasse_witt does no
+packing of its own.  ``Field.tables`` walks a field with m > 1 on its
+multiply-by-t table alone, never on the ring."""
 
 import ast
 from pathlib import Path
@@ -14,8 +16,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "curveclass"
 
 GONE = {
     "_fp_mul", "_fp_powmod_x", "_mul_digits_raw",
-    "_fp_has_unit_root", "_fp_mul_truncated", "fp_power_truncated",
+    "_fp_has_unit_root", "_fp_mul_truncated", "fp_power_truncated", "is_irreducible",
 }
+RING = {"_ring", "_pack", "pack_lanes", "reduce"}
 PACKING = {"to_bytes", "from_bytes", "lane_width", "pack_lanes", "unpack_lanes"}
 
 
@@ -50,3 +53,16 @@ def test_hasse_witt_does_no_packing():
             found += [f"{node.lineno} import {alias.name}"
                       for alias in node.names if alias.name in PACKING]
     assert not found, "hasse_witt.py packs: " + ", ".join(found)
+
+
+def test_tables_never_touch_the_ring():
+    gf = dict(_trees())["gf.py"]
+    field = next(n for n in gf.body if isinstance(n, ast.ClassDef) and n.name == "Field")
+    tables = next(n for n in field.body if isinstance(n, ast.FunctionDef) and n.name == "tables")
+    found = [
+        f"{node.lineno} {name}"
+        for node in ast.walk(tables)
+        for name in [getattr(node, "attr", None) or getattr(node, "id", None)]
+        if name in RING
+    ]
+    assert not found, "Field.tables names the ring: " + ", ".join(found)

@@ -1,6 +1,7 @@
 """Shared builders and pinned fixtures for the suite."""
 
 from curveclass import model_from_json, validate
+from curveclass.gf import monic_polys
 
 
 def curve_json(p, m=1, f=None, h=None, modulus=None):
@@ -32,6 +33,15 @@ def mul_digits(k, da, db):
         for i in range(m):
             out[top - m + i] -= c * f[i]
     return tuple(c % p for c in out[:m])
+
+
+def is_irreducible_by_division(f):
+    """Whether f, of degree d >= 1, is irreducible over its field, from the
+    definition: no monic polynomial of degree 1 .. d // 2 divides it."""
+    d = f.degree
+    return d >= 1 and not any(
+        (f % g).is_zero for e in range(1, d // 2 + 1) for g in monic_polys(f.field, e)
+    )
 
 
 # lex-first hits from scripts/find_special_curves.py, frozen
