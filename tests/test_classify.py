@@ -303,6 +303,36 @@ def test_oracle_order_checked_against_class_number(monkeypatch):
     assert rep.invariants["s"] == 0
 
 
+@pytest.mark.parametrize("q, f, T, p, budget, want", [
+    # p | h is not needed in case 2, so over budget h and s stay blank
+    (3, (1, 0, 0, 0, 1), [], 3, 2,
+     (2, None, "unknown", "44f3a4ef83cc1b431ec3992a221886aabd904737ea14c37afb14dc3ef7825cd9")),
+    # T nonempty in characteristic p: p | h is needed, so the budget error stands
+    (3, G2_X5PX, ["d1#0"], 3, 5, "q^d = 9 exceeds budget 5"),
+    # no mu_5 in F_3: case 6 whatever h is
+    (3, E_Z4_F3, [], 5, 2,
+     (6, None, "unknown", "0ebae082a40a311de89a7d07345fd6d14c16e6439004612e728c636f240cfd3c")),
+    # mu_2 in F_3: case 6 or 7 turns on 2 | h
+    (3, E_Z4_F3, [], 2, 2, "q^d = 3 exceeds budget 2"),
+    # q^g = 37^2 is past the oracle's gates, and 5 does not divide h
+    (37, G2_X5PX, [], 5, None,
+     (6, 1444, 0, "c113c85bb0b644c8dd9882eece3af14b0f061dce97aeaab01177d940202adf98")),
+])
+def test_budget_matrix(q, f, T, p, budget, want):
+    # which budget errors propagate and what stays blank, per case; digests
+    # of the bytes `curveclass classify --json` prints
+    instance = MarkedInstance(build(q, f=f), [], T, p)
+    if isinstance(want, str):
+        with pytest.raises(BudgetExceeded) as exc:
+            classify(instance, budget=budget)
+        assert str(exc.value) == want
+        return
+    rep = classify(instance, budget=budget)
+    text = json.dumps(rep.to_json(), indent=2, ensure_ascii=False)
+    got = hashlib.sha256(text.encode()).hexdigest()
+    assert (rep.case, rep.invariants["h"], rep.invariants["s"], got) == want
+
+
 def test_case3_single_tame_point_true():
     rep = run(build(3), 3, T=["d1#0"])
     assert rep.case == 3
