@@ -24,14 +24,12 @@ same object.  So no id builds a field past F_{q^(g+1)}.
 Verdicts are KPI1_TRUE / KPI1_FALSE / UNDETERMINED; UNDETERMINED is a
 first-class outcome, reported without any heuristic guess.
 
-The invariant s = dim_{F_p} Pic^0(F_q)[p] is filled in only inside the
-Jacobian oracle's gates (``jacobian.oracle_gate``), and "unknown" outside
-them.  In characteristic p (cases 2, 4, 5) it comes from the Hasse–Witt
-matrix, whose determinant is checked against h mod p.  In case 6 it comes
-from a walk of the p-Sylow subgroup (``jacobian.p_sylow_rank``), which
-checks h*x = 0 on every element it walks and that the subgroup has exactly
-p^{v_p(h)} elements.  The oracle enumerates the whole class group only when
-the zeta layer hit the budget, so h is unknown.
+The invariant s = dim_{F_p} Pic^0(F_q)[p] comes from one function,
+``_p_part``, and only from inside the Jacobian oracle's gates
+(``jacobian.oracle_gate``); outside them it is "unknown".  Where p does
+not divide h, cases 3, 6 and 7 report s = 0 on either side of the gates;
+case 2 reports only what the gates give, so outside them its s stays
+"unknown" even then.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import re
 
 from .budget import check_budget
 from .curve import Curve, closed_point_counts
-# perfbench's --trace wraps classify.closed_points by name (ROADMAP item 9)
+# perfbench's --trace wraps classify.closed_points by name (ROADMAP item 2)
 from .curve import closed_points  # noqa: F401
 from .errors import (
     BudgetExceeded,
@@ -241,24 +239,20 @@ def _resolve_point_degrees(curve: Curve, ids, cap: int, lp):
     return out, lp
 
 
-def _blank_invariants(curve: Curve) -> dict:
-    return {
-        "q": curve.field.q,
-        "g": curve.genus,
-        "h": None,
-        "pic_p_nontrivial": None,
-        "s": "unknown",
-        "ihara": None,
-        "mu_p": None,
-    }
+def _p_part(curve: Curve, p: int, cap: int, lp, required: bool):
+    """(h, p | h, s) with s = dim_{F_p} Pic^0(F_q)[p], for the case walk.
 
+    h = L(1) comes from lp, when the id resolution computed it, or from
+    ``l_polynomial``.  Past the budget the error propagates if the verdict
+    needs p | h (required); otherwise h and p | h are None.
 
-def _zeta_invariants(curve: Curve, p: int, cap: int, inv: dict, required: bool, lp=None):
-    """Fill h and pic_p_nontrivial in inv from the zeta layer; return p | h.
-
-    lp is the L-polynomial when the id resolution already computed it.  When
-    the zeta layer hits the budget the error propagates if the verdict needs
-    p | h (required), and otherwise inv stays blank and this is None.
+    s is taken by one rule, and only inside the Jacobian oracle's gates
+    (``oracle_gate``); outside them it is None.  In characteristic p it is
+    g - rank(A_pi - I) from the Hasse–Witt matrix, whose determinant is
+    checked against h mod p, or, when h is None, read off the whole class
+    group.  Away from p it comes from the p-Sylow walk (``p_sylow_rank``):
+    0 when p does not divide h, and otherwise checked by h*x = 0 on every
+    element walked and by the subgroup's order p^{v_p(h)}.
     """
     if lp is None:
         try:
@@ -266,26 +260,19 @@ def _zeta_invariants(curve: Curve, p: int, cap: int, inv: dict, required: bool, 
         except BudgetExceeded:
             if required:
                 raise
-            return None
-    inv["h"] = lp.class_number
-    inv["pic_p_nontrivial"] = pic = pic_p_nontrivial(lp, p)
-    return pic
-
-
-def _char_p_s(curve: Curve, p: int, h: int | None):
-    """s in characteristic p, or None outside the oracle's gates.
-
-    Inside them s comes from the Hasse–Witt matrix, which also checks
-    h mod p; only when the zeta layer hit the budget (h is None) does the
-    oracle enumerate the class group instead.
-    """
+    h = None if lp is None else lp.class_number
+    pic = None if lp is None else pic_p_nontrivial(lp, p)
     try:
-        if h is None:
-            return p_torsion_dim(jacobian_group(curve), p)
-        oracle_gate(curve, h)
+        if curve.field.p != p:
+            s = None if h is None else p_sylow_rank(curve, p, h)
+        elif h is None:
+            s = p_torsion_dim(jacobian_group(curve), p)
+        else:
+            oracle_gate(curve, h)
+            s = hasse_witt_s(curve, h)
     except (OracleUnsupportedModel, BudgetExceeded):
-        return None
-    return hasse_witt_s(curve, h)
+        s = None
+    return h, pic, s
 
 
 def classify(instance: MarkedInstance, budget: int | None = None) -> ClassificationReport:
@@ -297,15 +284,10 @@ def classify(instance: MarkedInstance, budget: int | None = None) -> Classificat
         raise InconsistentInput("S and T must be disjoint")
     S_degrees, lp = _resolve_point_degrees(curve, instance.S, cap, None)
     T_degrees, lp = _resolve_point_degrees(curve, instance.T, cap, lp)
-    if curve.field.p == p:
-        return _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp)
-    # away from the characteristic every mark is refused, so lp goes unused
-    return _classify_prime_to_char(curve, S_degrees, T_degrees, p, cap)
-
-
-def _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp) -> ClassificationReport:
-    inv = _blank_invariants(curve)
-    if S_degrees:
+    char_p = curve.field.p == p
+    inv = {"q": curve.field.q, "g": curve.genus, "h": None, "pic_p_nontrivial": None,
+           "s": "unknown", "ihara": None, "mu_p": None}
+    if char_p and S_degrees:
         # ramification allowed somewhere: true with cd exactly 1; the
         # verdict reads no zeta or class-group data, even when L(u) served
         # the id counts
@@ -319,15 +301,24 @@ def _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp) -> ClassificationR
             euler=None,
             note=None,
         )
-    if not T_degrees:
+    if not char_p:
+        if S_degrees or T_degrees:
+            raise UnsupportedCase(
+                "marked or punctured curves away from the characteristic are out of scope"
+            )
+        inv["mu_p"] = mu_p_in_field(curve.field.q, p)
+    # cases 3-5 and, with mu_p in F_q, cases 6-7 turn on p | h, so there
+    # the budget error propagates
+    required = bool(T_degrees) if char_p else inv["mu_p"]
+    h, pic, s = _p_part(curve, p, cap, lp, required)
+    inv["h"], inv["pic_p_nontrivial"] = h, pic
+    if s is not None:
+        inv["s"] = s
+    if char_p and not T_degrees:
         # unmarked projective curve: true with cd <= 2; invariants are
-        # enrichment only, filled in when cheap and supported
-        euler = None
-        _zeta_invariants(curve, p, cap, inv, required=False)
-        s = _char_p_s(curve, p, inv["h"])
-        if s is not None:
-            inv["s"] = s
-            euler = euler_bookkeeping(s, 0, 1 + s)
+        # enrichment only, so s stays unknown outside the gates even when
+        # p does not divide h
+        euler = None if s is None else euler_bookkeeping(s, 0, 1 + s)
         return ClassificationReport(
             case=2,
             verdict=VERDICT_TRUE,
@@ -338,11 +329,35 @@ def _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp) -> ClassificationR
             euler=euler,
             note=None,
         )
-    pic = _zeta_invariants(curve, p, cap, inv, required=True, lp=lp)
+    if pic is False:
+        # cases 3, 6 and 7: the p-part of the class group vanishes, on
+        # either side of the gates
+        inv["s"] = 0
+    if not char_p:
+        if not inv["mu_p"] or pic:
+            return ClassificationReport(
+                case=6,
+                verdict=VERDICT_TRUE,
+                cd_bound=CD_UNKNOWN,
+                pi1_description=PI1_UNKNOWN,
+                pi1_r=None,
+                invariants=inv,
+                euler=None,
+                note=None,
+            )
+        return ClassificationReport(
+            case=7,
+            verdict=VERDICT_FALSE,
+            cd_bound=CD_ONE,
+            pi1_description=PI1_ZP,
+            pi1_r=None,
+            invariants=inv,
+            euler=None,
+            note="H^i(π₁(p)) finite, vanishes for i>3",
+        )
     degrees = sorted(T_degrees)
     if not pic:
-        # p-part of the class group vanishes: pi1 is cyclic of order p^r
-        inv["s"] = 0
+        # pi1 is cyclic of order p^r
         r = fundamental_group_case(degrees, p)
         h1 = 0 if r == 0 else 1
         euler = euler_bookkeeping(0, len(degrees), h1)
@@ -369,9 +384,6 @@ def _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp) -> ClassificationR
         )
     result = ihara_sum_exceeds(degrees, curve.field.q, curve.genus)
     inv["ihara"] = result.to_json()
-    s = _char_p_s(curve, p, inv["h"])
-    if s is not None:
-        inv["s"] = s
     if result.exceeds:
         # finite pi1 by the Ihara bound; nontrivial for sure only when the
         # degree gcd already forces a cyclic p-power quotient
@@ -395,45 +407,4 @@ def _classify_char_p(curve, S_degrees, T_degrees, p, cap, lp) -> ClassificationR
         invariants=inv,
         euler=None,
         note=None,
-    )
-
-
-def _classify_prime_to_char(curve, S_degrees, T_degrees, p, cap) -> ClassificationReport:
-    if S_degrees or T_degrees:
-        raise UnsupportedCase(
-            "marked or punctured curves away from the characteristic are out of scope"
-        )
-    inv = _blank_invariants(curve)
-    mu = mu_p_in_field(curve.field.q, p)
-    inv["mu_p"] = mu
-    # mu_p in F_q: case 6 or 7 turns on p | h, so the budget error propagates
-    pic = _zeta_invariants(curve, p, cap, inv, required=mu)
-    if pic is False:
-        inv["s"] = 0
-    elif pic:
-        # case 6 with p | h: s from the p-Sylow walk, inside the oracle's gates
-        try:
-            inv["s"] = p_sylow_rank(curve, p, inv["h"])
-        except (OracleUnsupportedModel, BudgetExceeded):
-            pass
-    if not mu or pic:
-        return ClassificationReport(
-            case=6,
-            verdict=VERDICT_TRUE,
-            cd_bound=CD_UNKNOWN,
-            pi1_description=PI1_UNKNOWN,
-            pi1_r=None,
-            invariants=inv,
-            euler=None,
-            note=None,
-        )
-    return ClassificationReport(
-        case=7,
-        verdict=VERDICT_FALSE,
-        cd_bound=CD_ONE,
-        pi1_description=PI1_ZP,
-        pi1_r=None,
-        invariants=inv,
-        euler=None,
-        note="H^i(π₁(p)) finite, vanishes for i>3",
     )

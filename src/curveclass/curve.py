@@ -444,16 +444,17 @@ def closed_point_counts(
     by Moebius inversion there are (1/D) * sum_{e | D} mu(D/e) * N_e closed
     points of degree D; the places at infinity of that degree are taken off.
     The N_e come from ``count_points``, so nothing is enumerated.  Given the
-    curve's L-polynomial lp (``zeta.l_polynomial``), every N_e is
-    ``lp.predicted_count(e)`` instead, and nothing is counted here: L(u) is
-    built from N_1 .. N_g, so those come back exactly, and it fixes the
-    N_e past g.  As in ``closed_points``, every degree up to max_degree is
-    checked against the budget before any work, with or without lp.
+    curve's L-polynomial lp (``zeta.l_polynomial``; one whose ``lp.curve``
+    is another curve is refused), every N_e is ``lp.predicted_count(e)``
+    instead, and nothing is counted here: L(u) is built from N_1 .. N_g, so
+    those come back exactly, and it fixes the N_e past g.  As in
+    ``closed_points``, every degree up to max_degree is checked against the
+    budget before any work, with or without lp.
     """
     if max_degree < 1:
         raise CurveClassError("max_degree must be >= 1")
     cap = check_budget(curve.field.q, max_degree, budget)
-    if lp is not None and (lp.q, lp.genus) != (curve.field.q, curve.genus):
+    if lp is not None and lp.curve != curve:
         raise CurveClassError("L-polynomial belongs to another curve")
     n = [0] + [
         count_points(curve, e, cap) if lp is None else lp.predicted_count(e)

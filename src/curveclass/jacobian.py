@@ -16,11 +16,12 @@ Hensel steps lift it with Poly arithmetic.
 
 ``classify`` enumerates the whole group only when the zeta layer hit the
 budget (h unknown); the ``oracle`` subcommand, ``scripts/`` and the tests
-use it as the reference.  For case 6 (p different from the characteristic)
-``p_sylow_rank`` walks the same pairs lazily and stops as soon as the
-p-Sylow subgroup is full, since h is known from L(1).  In characteristic
-p, s comes from the Hasse–Witt matrix instead (``hasse_witt``).  All three
-run inside the same gates (``oracle_gate``).
+use it as the reference.  Away from the characteristic ``p_sylow_rank``
+walks the same pairs lazily and stops as soon as the p-Sylow subgroup is
+full, since h is known from L(1).  In characteristic p, s comes from the
+Hasse–Witt matrix instead (``hasse_witt``).  ``classify._p_part`` runs all
+three inside the same gates (``oracle_gate``); outside them s is unknown,
+except that cases 3, 6 and 7 report s = 0 when p does not divide h.
 
 Every enumeration re-verifies the group axioms on the enumerated set:
 identity and inverses on all elements, plus seeded random closure and

@@ -21,14 +21,19 @@ from .record import FrozenRecord
 
 
 class LPolynomial(FrozenRecord):
-    """Integer polynomial a_0 + a_1 u + ... + a_{2g} u^{2g} with a_0 = 1."""
+    """Integer polynomial a_0 + a_1 u + ... + a_{2g} u^{2g} with a_0 = 1.
 
-    __slots__ = ("q", "genus", "coeffs")
+    curve is the curve it was computed for (``l_polynomial`` sets it), or
+    None for a polynomial built by hand.
+    """
 
-    def __init__(self, q: int, genus: int, coeffs: tuple[int, ...]):
+    __slots__ = ("q", "genus", "coeffs", "curve")
+
+    def __init__(self, q: int, genus: int, coeffs: tuple[int, ...], curve: Curve | None = None):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "curve", curve)
         g, a = genus, coeffs
         if len(a) != 2 * g + 1:
             raise CurveClassError("L-polynomial must have degree exactly 2g")
@@ -97,7 +102,7 @@ def l_polynomial(curve: Curve, budget: int | None = None) -> LPolynomial:
         a[k] = -s // k
     for i in range(g):
         a[2 * g - i] = q ** (g - i) * a[i]
-    lp = LPolynomial(q=q, genus=g, coeffs=tuple(a))
+    lp = LPolynomial(q=q, genus=g, coeffs=tuple(a), curve=curve)
     # cross-check one count past the ones consumed, when affordable
     if q ** (g + 1) <= cap:
         direct = count_points(curve, g + 1, cap)

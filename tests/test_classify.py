@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import importlib
+import inspect
 import json
 import random
 from types import SimpleNamespace
@@ -262,6 +264,9 @@ def test_oracle_order_checked_against_class_number(monkeypatch):
     monkeypatch.setattr(classify_mod, "l_polynomial", h_plus_one)
     with pytest.raises(CurveClassError, match="Hasse–Witt determinant disagrees"):
         run(build(3, f=list(E_Z4_F3)), 3)
+    # ... in case 3 too, where h + 1 = 5 is prime to p
+    with pytest.raises(CurveClassError, match="Hasse–Witt determinant disagrees"):
+        run(build(3, f=list(E_Z4_F3)), 3, T=["d1#1"])
     monkeypatch.setattr(classify_mod, "l_polynomial", real_lp)
 
     # ... and so is a perturbed A_pi with the right h
@@ -331,6 +336,23 @@ def test_budget_matrix(q, f, T, p, budget, want):
     text = json.dumps(rep.to_json(), indent=2, ensure_ascii=False)
     got = hashlib.sha256(text.encode()).hexdigest()
     assert (rep.case, rep.invariants["h"], rep.invariants["s"], got) == want
+
+
+def test_one_p_part():
+    # h, p | h and s come from _p_part alone: no other code in classify.py
+    # names an s method or its gate, and the old split is not defined again
+    tree = ast.parse(inspect.getsource(classify_mod))
+    s_methods = {"hasse_witt_s", "p_sylow_rank", "jacobian_group", "p_torsion_dim",
+                 "oracle_gate", "pic_p_nontrivial"}
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    inside = {id(node) for node in ast.walk(defs["_p_part"])}
+    named = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in s_methods and id(node) not in inside}
+    assert not named
+    gone = {"_blank_invariants", "_zeta_invariants", "_char_p_s", "_classify_char_p",
+            "_classify_prime_to_char"}
+    assert not gone & set(defs)
 
 
 def test_case3_single_tame_point_true():

@@ -311,6 +311,14 @@ def test_closed_point_counts_refuses_another_curves_l_polynomial():
         closed_point_counts(c, 3, lp=l_polynomial(build(3, f=G2_X5PX)))
     with pytest.raises(CurveClassError, match="another curve"):
         closed_point_counts(c, 3, lp=l_polynomial(build(5, f=E_Z4_F3)))
+    # the same q and g: without the check the counts would read [0, 2, 6, 11]
+    # in place of [0, 3, 6, 8]
+    assert closed_point_counts(c, 3, lp=l_polynomial(c)) == [0, 3, 6, 8]
+    with pytest.raises(CurveClassError, match="another curve"):
+        closed_point_counts(c, 3, lp=l_polynomial(build(3, f=E_H3_F3)))
+    # an L-polynomial built by hand belongs to no curve
+    with pytest.raises(CurveClassError, match="another curve"):
+        closed_point_counts(c, 3, lp=LPolynomial(q=3, genus=1, coeffs=(1, 0, 3)))
 
 
 @pytest.mark.parametrize("p, m, f, h", [
