@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from curveclass import (
     necklace_count,
     validate,
 )
+from curveclass.gf import Poly, field_create
 from util import E_Z4_F3, G2_X5PX, build, curve_json
 
 
@@ -83,6 +85,53 @@ def test_char2_genus_values():
     assert build(2, f=[0, 0, 0, 0, 0, 1], h=[1]).genus == 2  # y^2+y = x^5
     assert build(2, f=[0, 0, 0, 1], h=[1]).genus == 1      # y^2+y = x^3
     assert build(2, f=[0, 1], h=[1]).genus == 0            # y^2+y = x
+
+
+def _char2_draw(rng, field, k):
+    """Model k of a seeded draw over F_q, q = 2^m: deg f <= 14, deg h <= 9.
+
+    Every fifth model has h = 0, every fifth f = 0, and every fifth
+    h = a^2 * b with deg a >= 1; the leading coefficients are random, so
+    h is mostly not monic once q > 2.
+    """
+    q = field.q
+
+    def coeffs(top):
+        return [rng.randrange(q) for _ in range(rng.randint(0, top + 1))]
+
+    f, h = coeffs(14), coeffs(9)
+    if k % 5 == 0:
+        h = []
+    elif k % 5 == 1:
+        f = []
+    elif k % 5 == 2:
+        a = Poly(field, coeffs(3) + [rng.randrange(1, q)])
+        b = Poly(field, coeffs(9 - 2 * a.degree))
+        h = list((a * a * b).coeffs)
+    return f, h
+
+
+def test_char2_validation_digest_seeded():
+    # (genus, infinity ids and degrees), or (exception class, message), for
+    # 300 models each over F_2 .. F_32; the digest pins the verdicts and
+    # every message, so a rewrite of the validation must keep them all
+    rng = random.Random(0xC2)
+    records, outcomes = [], set()
+    for m in range(1, 6):
+        field = field_create(2, m)
+        for k in range(300):
+            f, h = _char2_draw(rng, field, k)
+            try:
+                c = build(2, m, f=f, h=h)
+                rec = (c.genus, [(pt.id, pt.degree) for pt in c.infinity])
+                outcomes.add("valid")
+            except CurveClassError as e:
+                rec = (type(e).__name__, str(e))
+                outcomes.add(type(e).__name__)
+            records.append((m, f, h, rec))
+    assert outcomes == {"valid", "SingularModel", "GeometricallyReducible", "UnsupportedModel"}
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "4c02c8341bb715c937a1d7645a04e4929ddbf0036af6be89583c3f059ab87ecb"
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,26 @@ def test_char2_quadratic_twist_is_l_of_minus_u_seeded():
             assert l_polynomial(twist).coeffs == want, (m, f, h)
 
 
+def test_char2_genus_agrees_with_l_polynomial_seeded():
+    # validation reads the genus off the model; l_polynomial takes 2g from
+    # it and checks the Weil bound, the functional equation and N_{g+1},
+    # which a wrong g breaks: an independent check of the genus
+    rng = random.Random(0x6E2)
+    for m in (1, 2, 3):
+        q, found = 2**m, 0
+        while found < 40:
+            f = [rng.randrange(q) for _ in range(rng.randint(1, 10))]
+            h = [rng.randrange(q) for _ in range(rng.randint(1, 6))]
+            try:
+                curve = build(2, m, f=f, h=h)
+            except CurveClassError:
+                continue
+            if curve.genus < 1 or q ** (curve.genus + 2) > 10**6:
+                continue
+            found += 1
+            assert l_polynomial(curve).genus == curve.genus, (m, f, h)
+
+
 def test_base_change_is_l_of_u_times_l_of_minus_u_seeded():
     # over F_{q^2} the same equation has L(u) * L(-u), read in u^2; F_9
     # goes to F_81 through a root of its modulus found by search
