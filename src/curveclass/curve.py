@@ -8,11 +8,12 @@ Two model kinds are supported over a finite field F_q:
 Validation computes the genus and the places above x = infinity straight from
 the defining data.  In odd characteristic the model must be a completed
 square (h = 0) with f squarefree.  In characteristic 2 the model needs
-h != 0; smoothness of the affine model is checked at the zeros of h, and the
-genus comes from the ramification of the degree-2 cover: the function
-u = f/h^2 is reduced at each pole by substitutions u -> u + w^2 + w until the
-pole order is odd (ramified, conductor exponent m_P + 1) or the pole is gone
-(unramified).
+h != 0, and the affine model is smooth iff gcd(h, h'^2 * f + f'^2) = 1.
+The genus then comes from the ramification of the degree-2 cover, with no
+factoring: on a smooth model every zero of h is ramified and the finite
+places add 2 * deg h to the total, and at x = infinity the function
+u = f/h^2 is reduced by substitutions u -> u + w^2 + w until its pole
+order is odd (ramified) or the pole is gone (unramified).
 
 Point counts over F_q run in F_q itself; over F_{q^n}, n > 1, they run in
 F_{q^n} built over its primitive modulus, with the coefficients of f and h
@@ -33,8 +34,8 @@ the conjugates of the root.
 
 A count, an enumeration or a census over F_{q^d}, d <= n, first passes q
 and n to ``budget.check_budget``, so no field past the budget is built.
-Validation has no budget, and the factors of h it meets can have large
-degree, so its square roots mod pi stay on Poly arithmetic.
+Validation has no budget.  It runs on Poly arithmetic, and factors a
+polynomial only to name the singular factor in a SingularModel error.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ from .gf import (
     field_create,
     is_json_int,
     mobius,
-    poly_extgcd,
     poly_factor,
     poly_gcd,
-    pow_mod,
     primitive_modulus,
     squarefree,
     x_poly,
@@ -240,32 +239,32 @@ def _validate_odd(model: DoubleCover) -> Curve:
 
 
 def _validate_char2(model: DoubleCover) -> Curve:
+    """Genus and places at infinity of y^2 + h*y = f, p = 2.
+
+    z = y/h gives z^2 + z = u with u = f/h^2, an Artin-Schreier cover of
+    the x-line, so g = -1 + (1/2) * sum (m_P + 1) deg P over the ramified
+    places P, where m_P is the odd pole order of u at P once u is reduced
+    by substitutions u -> u + w^2 + w (Stichtenoth, Algebraic Function
+    Fields and Codes, 3.7.8).  A zero pi of h of multiplicity e is
+    ramified with m_P = 2e - 1: with s^2 = f mod pi, u + (s/h)^2 + s/h is
+    (f + s^2 + s*h)/h^2, whose numerator vanishes at pi to order exactly
+    1, as its derivative there is f' + s*h', nonzero on a smooth model.
+    So the finite places add 2 * deg h, with no factoring, and x = infinity
+    adds m + 1 when it is ramified.
+    """
     f, h, field = model.f, model.h, model.field
     if h.is_zero:
         raise UnsupportedModel(
             "characteristic 2 needs h != 0; y^2 = f is inseparable over F_q(x)"
         )
     _check_smooth_char2(f, h)
-    num, den = _reduced_u(f, h)
-    ram_total = 0
-    if den.degree >= 1:
-        for pi, _mult in poly_factor(den):
-            m = _finite_ram_order(num, den, pi)
-            if m == 0:
-                raise CurveClassError(
-                    "internal: pole vanished under reduction on a smooth model"
-                )
-            ram_total += (m + 1) * pi.degree
-    m_inf, val_idx = _infinity_normalize(num, den)
-    if m_inf:
-        ram_total += m_inf + 1
+    m_inf, val_idx = _infinity_normalize(f, h * h)
+    ram_total = 2 * h.degree + (m_inf + 1 if m_inf else 0)
     if ram_total == 0:
         raise GeometricallyReducible(
             "the cover is unramified everywhere, so it is split or a constant"
             " field extension"
         )
-    if ram_total % 2:
-        raise CurveClassError("internal: ramification total must be even")
     genus = ram_total // 2 - 1
     if m_inf:
         inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0),)
@@ -280,73 +279,30 @@ def _validate_char2(model: DoubleCover) -> Curve:
 
 
 def _check_smooth_char2(f: Poly, h: Poly) -> None:
-    # F_y = h, so affine singularities can only sit above zeros of h
+    """SingularModel unless gcd(h, h'^2 * f + f'^2) = 1.
+
+    F_y = h and F_x = h'*y + f', so a singular point (x0, y0) has h(x0) = 0
+    and h'(x0)*y0 = f'(x0) with y0^2 = f(x0); squaring is injective in
+    characteristic 2, so that holds iff x0 is also a zero of h'^2 * f + f'^2.
+    Only a nontrivial gcd is factored, to name its least irreducible factor.
+    """
     if h.degree < 1:
         return
-    fd, hd = f.derivative(), h.derivative()
-    q = f.field.q
-    for pi, _mult in poly_factor(h.monic()):
-        # sqrt(f) mod pi: x -> x^(q^d / 2) undoes squaring in F_{q^d}
-        ybar = pow_mod(f, q**pi.degree // 2, pi)
-        if ((hd * ybar + fd) % pi).is_zero:
-            raise SingularModel(
-                f"affine model is singular above {pi!r} (both partials vanish)"
-            )
-
-
-def _reduced_u(f: Poly, h: Poly) -> tuple[Poly, Poly]:
-    """f/h^2 in lowest terms with monic denominator."""
-    num, den = f, h * h
-    g = poly_gcd(num, den)
+    hd, fd = h.derivative(), f.derivative()
+    g = poly_gcd(h, hd * hd * f + fd * fd)
     if g.degree >= 1:
-        num, den = num // g, den // g
-    lc = den.leading()
-    if lc != 1:
-        inv = num.field.inv_idx(lc)
-        num, den = num.scale(inv), den.scale(inv)
-    return num, den
-
-
-def _strip(poly: Poly, pi: Poly) -> tuple[int, Poly]:
-    """Largest e with pi^e | poly, plus the cofactor (poly nonzero)."""
-    e = 0
-    while True:
-        q, r = divmod(poly, pi)
-        if not r.is_zero:
-            return e, poly
-        poly = q
-        e += 1
-
-
-def _finite_ram_order(num: Poly, den: Poly, pi: Poly) -> int:
-    """Conductor order m_P of the reduced cover at pi; 0 when unramified."""
-    half = num.field.q**pi.degree // 2
-    while True:
-        if num.is_zero:
-            return 0
-        a, _ = _strip(num, pi)
-        b, _ = _strip(den, pi)
-        v = a - b
-        if v >= 0:
-            return 0
-        if (-v) % 2 == 1:
-            return -v
-        # even pole: kill the leading term with w = s/pi^k, s^2 = unit part
-        k = (-v) // 2
-        g, dinv, _ = poly_extgcd(den // pi**b, pi)
-        if g.degree != 0:
-            raise CurveClassError("internal: unit part must be invertible mod pi")
-        s = pow_mod(num // pi**a * dinv, half, pi)
-        pik = pi**k
-        num = num * (pik * pik) + den * (s * s + s * pik)
-        den = den * (pik * pik)
-        g = poly_gcd(num, den)
-        if g.degree >= 1:
-            num, den = num // g, den // g
+        pi = poly_factor(g)[0][0]
+        raise SingularModel(
+            f"affine model is singular above {pi!r} (both partials vanish)"
+        )
 
 
 def _infinity_normalize(num: Poly, den: Poly) -> tuple[int, int]:
-    """(m, value_idx) at x = infinity: m = 0 means unramified with value u(inf)."""
+    """(m, value_idx) at x = infinity: m = 0 means unramified with value u(inf).
+
+    It reads only the degrees and leading coefficients of u = num/den, which
+    a common factor of num and den does not change, so u need not be reduced.
+    """
     field = num.field
     xp = x_poly(field)
     while True:

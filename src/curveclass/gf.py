@@ -814,15 +814,20 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __pow__(self, e: int) -> "Poly":
-        result = Poly(self.field, (1,))
-        base = self
+    def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
+        """self**e by square-and-multiply; pow(self, e, mod) reduces every
+        product mod ``mod``."""
+
+        def red(a: "Poly") -> "Poly":
+            return a if mod is None else a % mod
+
+        result, base = red(Poly(self.field, (1,))), red(self)
         while e:
             if e & 1:
-                result = result * base
+                result = red(result * base)
             e >>= 1
             if e:
-                base = base * base
+                base = red(base * base)
         return result
 
     def monic(self) -> "Poly":
@@ -899,17 +904,6 @@ def poly_extgcd(a: Poly, b: Poly):
     return r0.scale(lc_inv), s0.scale(lc_inv), t0.scale(lc_inv)
 
 
-def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly(base.field, (1,)) % mod
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
-
-
 def squarefree(f: Poly) -> bool:
     if f.is_zero:
         raise ZeroPolynomial("squarefree test on the zero polynomial")
@@ -957,7 +951,7 @@ def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
                 acc = acc + cur
             g = poly_gcd(acc, f)
         else:
-            t = pow_mod(b, (q**e - 1) // 2, f) - Poly(F, (1,))
+            t = pow(b, (q**e - 1) // 2, f) - Poly(F, (1,))
             g = poly_gcd(t, f)
         if 0 < (g.degree if g.degree is not NEG_INF else -1) < n:
             return _equal_degree_split(g, e, rng) + _equal_degree_split(f // g, e, rng)
@@ -976,7 +970,7 @@ def _factor_squarefree_monic(f: Poly, rng: random.Random) -> list[Poly]:
         if 2 * i > cur.degree:
             out.append(cur)
             break
-        h = pow_mod(h, q, cur)
+        h = pow(h, q, cur)
         g = poly_gcd(h - x, cur)
         if g.degree is not NEG_INF and g.degree >= 1:
             out.extend(_equal_degree_split(g, i, rng))

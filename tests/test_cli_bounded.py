@@ -1,6 +1,6 @@
 """Every input answers or exits in bounded time at the default budget.
 
-Six inputs that once hung or ran out of memory are pinned, and random small
+Seven inputs that once hung or ran out of memory are pinned, and random small
 fields, curves, primes and marks go through ``main()``: the exit code is one
 of 0, 1, 2, 3, and a non-zero exit prints an ``error:`` line and no
 traceback.
@@ -38,6 +38,22 @@ HUNG = {
     # genus 11 over F_3: h from N_1 .. N_11, recount N_12
     "classify_x23_f3": (["classify", "--p", "3"], curve_json(3, f=[1] + [0] * 22 + [1]),
                         "h=176824"),
+    # genus 11 over F_{2^61} (random.Random(7): 25 coefficients for f, then
+    # 13 for h): validation factors nothing on a smooth model
+    "validate_g11_f2_61": (["validate"], curve_json(2, 61, f=[
+        1820801989368220983, 222681842206352464, 434098205243707435, 990120612517596917,
+        396361666957758680, 1928478689004316506, 1109862194316708751, 272599089314351654,
+        285288344804199849, 228690341447653908, 1019559973940353740, 614160445611480779,
+        1932937663302849942, 475260568987768203, 866402181745464647, 449319225041187331,
+        2289307768260769247, 2147209613255897839, 1667504312835892272, 1145665403460880301,
+        829027810795090983, 377489620201184251, 1384654667938361007, 2283321169336813345,
+        1584002028630770375,
+    ], h=[
+        2069882379597311264, 337579430038519096, 760753424198932712, 1577453989703974143,
+        1944740414677102466, 357961273311244752, 1568537519729000908, 1614912782933614735,
+        2290508200403312589, 317113122643631978, 431635339158233342, 1244875177923616470,
+        299759497155830042,
+    ]), "valid double_cover: genus 11"),
 }
 
 

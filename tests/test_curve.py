@@ -20,6 +20,7 @@ from curveclass import (
     validate,
 )
 from curveclass.gf import Poly, field_create
+from test_golden import VALIDATE
 from util import E_Z4_F3, G2_X5PX, build, curve_json
 
 
@@ -80,11 +81,38 @@ def test_char2_artin_schreier_reducible():
         build(2, f=[0, 1, 1], h=[1])
 
 
+CHAR2_GENUS = [
+    # (f, h, genus) over F_2
+    ([1, 0, 0, 1], [0, 1], 1),           # y^2+xy = x^3+1
+    ([0, 0, 0, 0, 0, 1], [1], 2),        # y^2+y = x^5
+    ([0, 0, 0, 1], [1], 1),              # y^2+y = x^3
+    ([0, 1], [1], 0),                    # y^2+y = x
+]
+
+
 def test_char2_genus_values():
-    assert build(2, f=[1, 0, 0, 1], h=[0, 1]).genus == 1   # y^2+xy = x^3+1
-    assert build(2, f=[0, 0, 0, 0, 0, 1], h=[1]).genus == 2  # y^2+y = x^5
-    assert build(2, f=[0, 0, 0, 1], h=[1]).genus == 1      # y^2+y = x^3
-    assert build(2, f=[0, 1], h=[1]).genus == 0            # y^2+y = x
+    for f, h, genus in CHAR2_GENUS:
+        assert build(2, f=f, h=h).genus == genus
+
+
+def test_char2_validation_factors_only_a_singular_model(monkeypatch):
+    # smoothness is one gcd and the finite places add 2 deg h, so a smooth
+    # model is validated without factoring anything
+    with monkeypatch.context() as patch:
+        def refuse(f):
+            raise AssertionError(f"factored {f!r}")
+
+        patch.setattr(curve_mod, "poly_factor", refuse)
+        for p, m, f, h, _ in VALIDATE:
+            build(p, m, f=f, h=h)
+        for f, h, genus in CHAR2_GENUS:
+            assert build(2, f=f, h=h).genus == genus
+    # h = 3x^2 (x + 2)(x^2 + 2x + 1) over F_4: x is a zero of h but no
+    # singular point lies above it; the error names the least singular factor
+    msg = "affine model is singular above Poly(2 + 1*x^1 over q=4) (both partials vanish)"
+    with pytest.raises(SingularModel) as err:
+        build(2, 2, f=[3, 3, 2, 1, 1], h=[0, 0, 3, 3, 0, 2])
+    assert str(err.value) == msg
 
 
 def _char2_draw(rng, field, k):

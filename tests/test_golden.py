@@ -6,14 +6,14 @@ arithmetic), so they prove that rewrites of those layers leave every
 report byte unchanged.  `points --json` covers split, inert and ramified
 points in both characteristics over prime and non-prime fields;
 `validate --json` covers characteristic-2 curves where h has an
-irreducible factor of degree >= 2, the places where `_check_smooth_char2`
-and `_finite_ram_order` take square roots modulo that factor.
+irreducible factor of degree >= 2, whose zeros the genus must count with
+their degree (the finite places add 2 * deg h).
 
 The later VALIDATE rows and the ORACLE digests were recorded on the commit
 before field elements became plain indices.  Those VALIDATE rows have a
-non-monic h over F_4 or F_8, so `_reduced_u` scales by an inverse, or an
-even pole of f/h^2 at infinity, so `_infinity_normalize` takes a square
-root.  The ORACLE rows run Cantor composition over F_3, F_5, F_7 and F_9;
+non-monic h over F_4 or F_8, so f/h^2 has a leading coefficient other
+than that of f, or an even pole of f/h^2 at infinity, so
+`_infinity_normalize` takes a square root.  The ORACLE rows run Cantor composition over F_3, F_5, F_7 and F_9;
 over F_9 the squarefree test differentiates with m > 1.
 """
 

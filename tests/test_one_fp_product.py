@@ -5,8 +5,9 @@ with m > 1 multiply on ``gf._FpRing``.  Hasse–Witt's power is ``Poly **``.
 The schoolbook ``_fp_mul`` and its ``_fp_powmod_x``, the digit-vector
 product ``_mul_digits_raw``, Hasse–Witt's truncated Kronecker product and
 power, the unit-root scan that repeated Ben-Or's first step, and the second
-Ben-Or on ``Poly`` (``is_irreducible``) stay gone, and hasse_witt does no
-packing of its own.  ``Field.tables`` walks a field with m > 1 on its
+Ben-Or on ``Poly`` (``is_irreducible``) and ``pow_mod``, a second
+square-and-multiply now written ``pow(b, e, mod)`` on ``Poly``, stay gone,
+and hasse_witt does no packing of its own.  ``Field.tables`` walks a field with m > 1 on its
 multiply-by-t table alone, never on the ring."""
 
 import ast
@@ -17,6 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "curveclass"
 GONE = {
     "_fp_mul", "_fp_powmod_x", "_mul_digits_raw",
     "_fp_has_unit_root", "_fp_mul_truncated", "fp_power_truncated", "is_irreducible",
+    "pow_mod",
 }
 RING = {"_ring", "_pack", "pack_lanes", "reduce"}
 PACKING = {"to_bytes", "from_bytes", "lane_width", "pack_lanes", "unpack_lanes"}
