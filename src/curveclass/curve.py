@@ -300,8 +300,8 @@ def _check_smooth_char2(f: Poly, h: Poly) -> None:
 def _infinity_normalize(num: Poly, den: Poly) -> tuple[int, int]:
     """(m, value_idx) at x = infinity: m = 0 means unramified with value u(inf).
 
-    It reads only the degrees and leading coefficients of u = num/den, which
-    a common factor of num and den does not change, so u need not be reduced.
+    It reads only deg den - deg num and the ratio of leading coefficients,
+    which a common factor of num and den leaves alone: u need not be reduced.
     """
     field = num.field
     xp = x_poly(field)
