@@ -23,9 +23,11 @@ from curveclass import (
     closed_points,
     euler_bookkeeping,
     fundamental_group_case,
+    l_polynomial,
     mu_p_in_field,
     resolve_point_degrees,
 )
+from curveclass.curve import model_to_json
 from curveclass.errors import BudgetExceeded, CurveClassError
 from util import E_H3_F3, E_H6_F3, E_Z4_F3, G2_X5PX, build
 
@@ -496,3 +498,98 @@ def test_report_deterministic():
     a = json.dumps(run(build(3, f=list(G2_X5PX)), 3, T=["d2#0"]).to_json())
     b = json.dumps(run(build(3, f=list(G2_X5PX)), 3, T=["d2#0"]).to_json())
     assert a == b
+
+
+REPORT_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (2, 1), (2, 2), (2, 3)]
+
+
+def _report_curve(rng, p, m):
+    """A seeded valid curve over F_{p^m} of genus <= 3, with q^(g+1) small."""
+    q = p**m
+    while True:
+        g = rng.randrange(4)
+        while g and q ** (g + 1) > 30000:
+            g -= 1
+        if g == 0:
+            return build(p, m)
+
+        def poly(d):
+            return [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+
+        f = poly(2 * g + rng.randrange(1, 3))
+        h = (poly(rng.randrange(g + 2)) if rng.random() < 0.8 else []) if p == 2 else None
+        try:
+            return build(p, m, f=f, h=h)
+        except CurveClassError:
+            continue
+
+
+def _report_shape(out):
+    if isinstance(out, list):
+        return out[0]
+    case = out["case_tag"]
+    if case == 2:
+        return case, out["euler"] is not None
+    if case == 3:
+        return case, out["verdict"], min(out["pi1_r"], 1)
+    if case == 4:
+        return case, out["cd_bound"]
+    return case
+
+
+def test_report_digest_seeded():
+    # 540 seeded calls, six per curve over F_3 .. F_13, F_9 and F_2 .. F_8:
+    # unmarked for p = char and p != char, S nonempty, one T id, one to three
+    # T ids (ids at infinity and of degree D > g among them), and one error draw
+    # (S and T overlapping, an unknown id, marks away from the
+    # characteristic, a small budget).  The digest pins every report byte
+    # and every error message, so a rewrite of the case walk must keep them
+    rng = random.Random(0x7AB1E)
+    records, shapes = [], set()
+    for n in range(90):
+        p, m = REPORT_FIELDS[n % len(REPORT_FIELDS)]
+        curve = _report_curve(rng, p, m)
+        q, g = curve.field.q, curve.genus
+        top = g + 2
+        while q**top > 10**6:
+            top -= 1
+        counts = closed_point_counts(curve, top, lp=l_polynomial(curve))
+        ids = [f"d{d}#{k}" for d in range(1, top + 1) for k in range(counts[d])]
+        ids += [pt.id for pt in curve.infinity]
+        away = [ell for ell in (2, 3, 5, 7) if ell != p]
+        for k in range(6):
+            rng.shuffle(ids)
+            S, T, ell, budget = [], [], p, None
+            if k == 1:
+                ell = rng.choice(away)
+            elif k == 2:
+                S, T = ids[:1], ids[1:rng.randrange(1, 4)]
+            elif k == 3:
+                T = ids[:1]
+            elif k == 4:
+                T = ids[:rng.randrange(1, 4)]
+            elif k == 5:
+                T = ids[:2]
+                err = rng.randrange(4)
+                if err == 0:
+                    S = T[:1]
+                elif err == 1:
+                    d = rng.randrange(1, top + 1)
+                    T = T[:1] + [rng.choice(
+                        [f"d{d}#{counts[d]}", f"d{d}#0{counts[d]}", f"d{d}#inf9"])]
+                elif err == 2:
+                    ell = rng.choice(away)
+                else:
+                    budget = rng.choice([q, q * q])
+            try:
+                out = classify(MarkedInstance(curve, S, T, ell), budget=budget).to_json()
+            except CurveClassError as exc:
+                out = [type(exc).__name__, str(exc)]
+            shapes.add(_report_shape(out))
+            records.append([model_to_json(curve.model), S, T, ell, budget, out])
+    assert shapes == {
+        1, (2, False), (2, True), (3, "KPI1_TRUE", 0), (3, "KPI1_FALSE", 0),
+        (3, "KPI1_FALSE", 1), (4, "unknown"), (4, "∞ (finite nontrivial group)"), 5, 6, 7,
+        "InconsistentInput", "UnknownClosedPoint", "UnsupportedCase", "BudgetExceeded"}
+    digest = hashlib.sha256(json.dumps(records, ensure_ascii=False).encode()).hexdigest()
+    assert digest == "1c6d78415c2aebd8ae879c64cf4e662d2e772f48545ae4078a5cab47bf93e0d0"
