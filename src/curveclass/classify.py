@@ -2,8 +2,9 @@
 
 Inputs are a validated curve together with two disjoint sets S (points where
 ramification is allowed) and T (points required to split) given by closed
-point ids, plus the prime p.  The verdict runs through a fixed seven-case
-table; which arithmetic gets computed depends on the case:
+point ids, plus the prime p.  The verdict runs through the paper's
+seven-case table, ``CASE_ROWS`` (verdict, cd bound and pi1 description per
+case); which arithmetic gets computed depends on the case:
 
 * characteristic p, S nonempty: verdict from the shape of the data alone.
 * characteristic p, S empty, T nonempty: needs the class number (is p | h?),
@@ -81,6 +82,20 @@ CASE_TAGS = {
     5: "open",
     6: "thm1.4",
     7: "thm1.4(remaining)",
+}
+
+# (verdict, cd bound, pi1 description, note) per case.  ``classify`` refines
+# two rows by r = v_p(gcd of the T degrees): r >= 1 makes cd infinite in
+# cases 3 and 4 and pi1 cyclic in case 3; one mark of degree prime to p makes
+# case 3 true.
+CASE_ROWS = {
+    1: (VERDICT_TRUE, CD_ONE, PI1_UNKNOWN, None),
+    2: (VERDICT_TRUE, CD_LE_TWO, PI1_UNKNOWN, None),
+    3: (VERDICT_FALSE, CD_ZERO, PI1_TRIVIAL, None),
+    4: (VERDICT_FALSE, CD_UNKNOWN, PI1_FINITE_IHARA, None),
+    5: (VERDICT_UNDETERMINED, CD_UNKNOWN, PI1_UNKNOWN, None),
+    6: (VERDICT_TRUE, CD_UNKNOWN, PI1_UNKNOWN, None),
+    7: (VERDICT_FALSE, CD_ONE, PI1_ZP, "H^i(π₁(p)) finite, vanishes for i>3"),
 }
 
 _ID_RE = re.compile(r"^d([1-9][0-9]*)#(inf)?([0-9]+)$")
@@ -275,9 +290,11 @@ def _p_part(curve: Curve, p: int, cap: int, lp, required: bool):
     return h, pic, s
 
 
-def classify(instance: MarkedInstance, budget: int | None = None) -> ClassificationReport:
+def _walk(instance: MarkedInstance, cap: int, inv: dict):
+    """(case, r, euler) for ``classify``, filling inv on the way: r is
+    v_p(gcd of the T degrees) in cases 3 and 4, else None; euler may be None.
+    """
     curve, p = instance.curve, instance.p
-    cap = check_budget(curve.field.q, 0, budget)
     if not is_prime(p):
         raise CurveClassError("p must be prime")
     if instance.S & instance.T:
@@ -285,27 +302,14 @@ def classify(instance: MarkedInstance, budget: int | None = None) -> Classificat
     S_degrees, lp = _resolve_point_degrees(curve, instance.S, cap, None)
     T_degrees, lp = _resolve_point_degrees(curve, instance.T, cap, lp)
     char_p = curve.field.p == p
-    inv = {"q": curve.field.q, "g": curve.genus, "h": None, "pic_p_nontrivial": None,
-           "s": "unknown", "ihara": None, "mu_p": None}
     if char_p and S_degrees:
-        # ramification allowed somewhere: true with cd exactly 1; the
-        # verdict reads no zeta or class-group data, even when L(u) served
-        # the id counts
-        return ClassificationReport(
-            case=1,
-            verdict=VERDICT_TRUE,
-            cd_bound=CD_ONE,
-            pi1_description=PI1_UNKNOWN,
-            pi1_r=None,
-            invariants=inv,
-            euler=None,
-            note=None,
-        )
+        # ramification allowed somewhere: the verdict reads no zeta or
+        # class-group data, even when L(u) served the id counts
+        return 1, None, None
     if not char_p:
         if S_degrees or T_degrees:
-            raise UnsupportedCase(
-                "marked or punctured curves away from the characteristic are out of scope"
-            )
+            raise UnsupportedCase("marked or punctured curves away from the "
+                                  "characteristic are out of scope")
         inv["mu_p"] = mu_p_in_field(curve.field.q, p)
     # cases 3-5 and, with mu_p in F_q, cases 6-7 turn on p | h, so there
     # the budget error propagates
@@ -315,96 +319,38 @@ def classify(instance: MarkedInstance, budget: int | None = None) -> Classificat
     if s is not None:
         inv["s"] = s
     if char_p and not T_degrees:
-        # unmarked projective curve: true with cd <= 2; invariants are
-        # enrichment only, so s stays unknown outside the gates even when
-        # p does not divide h
-        euler = None if s is None else euler_bookkeeping(s, 0, 1 + s)
-        return ClassificationReport(
-            case=2,
-            verdict=VERDICT_TRUE,
-            cd_bound=CD_LE_TWO,
-            pi1_description=PI1_UNKNOWN,
-            pi1_r=None,
-            invariants=inv,
-            euler=euler,
-            note=None,
-        )
+        # unmarked: outside the gates s stays unknown even when p ∤ h
+        return 2, None, None if s is None else euler_bookkeeping(s, 0, 1 + s)
     if pic is False:
-        # cases 3, 6 and 7: the p-part of the class group vanishes, on
-        # either side of the gates
+        # cases 3, 6 and 7: no p-part, on either side of the gates
         inv["s"] = 0
     if not char_p:
-        if not inv["mu_p"] or pic:
-            return ClassificationReport(
-                case=6,
-                verdict=VERDICT_TRUE,
-                cd_bound=CD_UNKNOWN,
-                pi1_description=PI1_UNKNOWN,
-                pi1_r=None,
-                invariants=inv,
-                euler=None,
-                note=None,
-            )
-        return ClassificationReport(
-            case=7,
-            verdict=VERDICT_FALSE,
-            cd_bound=CD_ONE,
-            pi1_description=PI1_ZP,
-            pi1_r=None,
-            invariants=inv,
-            euler=None,
-            note="H^i(π₁(p)) finite, vanishes for i>3",
-        )
+        return (6 if not inv["mu_p"] or pic else 7), None, None
     degrees = sorted(T_degrees)
+    r = fundamental_group_case(degrees, p)
     if not pic:
         # pi1 is cyclic of order p^r
-        r = fundamental_group_case(degrees, p)
-        h1 = 0 if r == 0 else 1
-        euler = euler_bookkeeping(0, len(degrees), h1)
-        if len(degrees) == 1 and degrees[0] % p != 0:
-            return ClassificationReport(
-                case=3,
-                verdict=VERDICT_TRUE,
-                cd_bound=CD_ZERO,
-                pi1_description=PI1_TRIVIAL,
-                pi1_r=0,
-                invariants=inv,
-                euler=euler,
-                note=None,
-            )
-        return ClassificationReport(
-            case=3,
-            verdict=VERDICT_FALSE,
-            cd_bound=CD_INF if r >= 1 else CD_ZERO,
-            pi1_description=PI1_CYCLIC if r >= 1 else PI1_TRIVIAL,
-            pi1_r=r,
-            invariants=inv,
-            euler=euler,
-            note=None,
-        )
+        return 3, r, euler_bookkeeping(0, len(degrees), 0 if r == 0 else 1)
     result = ihara_sum_exceeds(degrees, curve.field.q, curve.genus)
     inv["ihara"] = result.to_json()
-    if result.exceeds:
-        # finite pi1 by the Ihara bound; nontrivial for sure only when the
-        # degree gcd already forces a cyclic p-power quotient
-        r = fundamental_group_case(degrees, p)
-        return ClassificationReport(
-            case=4,
-            verdict=VERDICT_FALSE,
-            cd_bound=CD_INF if r >= 1 else CD_UNKNOWN,
-            pi1_description=PI1_FINITE_IHARA,
-            pi1_r=None,
-            invariants=inv,
-            euler=None,
-            note=None,
-        )
-    return ClassificationReport(
-        case=5,
-        verdict=VERDICT_UNDETERMINED,
-        cd_bound=CD_UNKNOWN,
-        pi1_description=PI1_UNKNOWN,
-        pi1_r=None,
-        invariants=inv,
-        euler=None,
-        note=None,
-    )
+    return (4, r, None) if result.exceeds else (5, None, None)
+
+
+def classify(instance: MarkedInstance, budget: int | None = None) -> ClassificationReport:
+    """The report of the instance's case: its ``CASE_ROWS`` row, refined by r."""
+    curve = instance.curve
+    cap = check_budget(curve.field.q, 0, budget)
+    inv = {"q": curve.field.q, "g": curve.genus, "h": None, "pic_p_nontrivial": None,
+           "s": "unknown", "ihara": None, "mu_p": None}
+    case, r, euler = _walk(instance, cap, inv)
+    verdict, cd_bound, pi1, note = CASE_ROWS[case]
+    if r:
+        # the degree gcd forces a cyclic quotient of order p^r, pi1 in case 3
+        cd_bound = CD_INF
+        if case == 3:
+            pi1 = PI1_CYCLIC
+    elif case == 3 and euler["t"] == 1:
+        # one mark, of degree prime to p: pi1 is trivial
+        verdict = VERDICT_TRUE
+    return ClassificationReport(case, verdict, cd_bound, pi1, r if case == 3 else None,
+                                inv, euler, note)

@@ -357,6 +357,16 @@ def test_one_p_part():
     assert not gone & set(defs)
 
 
+def test_one_report():
+    # the seven cases are the rows of CASE_ROWS, and classify builds its one
+    # report from the row of the case the walk reaches
+    tree = ast.parse(inspect.getsource(classify_mod))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "ClassificationReport"]
+    assert len(calls) == 1
+    assert set(classify_mod.CASE_ROWS) == set(classify_mod.CASE_TAGS)
+
 def test_case3_single_tame_point_true():
     rep = run(build(3), 3, T=["d1#0"])
     assert rep.case == 3
