@@ -939,7 +939,7 @@ def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
     n = f.degree
     while True:
         b = Poly(F, [rng.randrange(q) for _ in range(n)])
-        if b.degree is NEG_INF or b.degree == 0:
+        if b.degree < 1:
             continue
         if p == 2:
             # additive (trace) splitting
@@ -953,7 +953,7 @@ def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
         else:
             t = pow(b, (q**e - 1) // 2, f) - Poly(F, (1,))
             g = poly_gcd(t, f)
-        if 0 < (g.degree if g.degree is not NEG_INF else -1) < n:
+        if 0 < g.degree < n:
             return _equal_degree_split(g, e, rng) + _equal_degree_split(f // g, e, rng)
 
 
@@ -965,14 +965,14 @@ def _factor_squarefree_monic(f: Poly, rng: random.Random) -> list[Poly]:
     cur = f
     h = x % cur
     i = 0
-    while cur.degree is not NEG_INF and cur.degree >= 1:
+    while cur.degree >= 1:
         i += 1
         if 2 * i > cur.degree:
             out.append(cur)
             break
         h = pow(h, q, cur)
         g = poly_gcd(h - x, cur)
-        if g.degree is not NEG_INF and g.degree >= 1:
+        if g.degree >= 1:
             out.extend(_equal_degree_split(g, i, rng))
             cur = cur // g
             h = h % cur
@@ -1001,7 +1001,7 @@ def _factor_monic(f: Poly, rng: random.Random) -> dict[Poly, int]:
             rem = qt
             e += 1
         out[pi] = e
-    if rem.degree is not NEG_INF and rem.degree >= 1:
+    if rem.degree >= 1:
         for pi, e in _factor_monic(rem.monic(), rng).items():
             out[pi] = out.get(pi, 0) + e
     return out
