@@ -2,22 +2,23 @@
 """Interleaved pairs of the end-to-end benchmark on two revisions.
 
     python3 scripts/bench_pairs.py BASE HEAD --pairs 10
-    python3 scripts/bench_pairs.py ca3dced HEAD --pairs 10 --workloads oracle,points
+    python3 scripts/bench_pairs.py BASE HEAD --pairs 10 --workloads oracle,points
 
 Run it from inside the repository.  Both revisions are exported with
 ``git archive`` into a temporary directory outside the repository (under
 --tmp, default the system's), and each runs its own
-``perfbench/run.py --workload W --seed N --seconds S --trace 0``.  Pair k
-gives both sides seed --seed + k, and the side that runs first alternates
-from pair to pair.  A run that does not end with ``correct: true`` and
+``perfbench/run.py --workload W --seed k --seconds S --trace 0``, with S
+the ``run_seconds`` of the head's ``BENCHMARK.json``.  Pair k = 1 .. N
+gives both sides seed k, and the side that runs first alternates from
+pair to pair.  A run that does not end with ``correct: true`` and
 ``failed 0`` stops the script (exit 1) with the run's output.
 
-For each workload and each end-to-end metric in the head's
-``BENCHMARK.json`` the script prints the median and quartiles of both
-sides, the number of pairs in which the head is better, and whether the
-shift of the medians exceeds the base's quartile distance.  The temporary
-trees are removed on exit; each run's workers end with the run.
-Standard library only.
+For each workload (by default every one in the head's ``BENCHMARK.json``)
+and each end-to-end metric there, the script prints the median and
+quartiles of both sides, the number of pairs in which the head is better,
+and whether the shift of the medians exceeds the base's quartile distance.
+The temporary trees are removed on exit; each run's workers end with the
+run.  Standard library only.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in summary["metrics"].items()}
 
 
-def quartiles(xs):
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def report(workload: str, metrics, base: list[dict], head: list[dict]) -> None:
     print(f"\n{workload}: {len(base)} pairs")
     print(f"  {'metric':<14} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32}"
@@ -77,7 +73,7 @@ def report(workload: str, metrics, base: list[dict], head: list[dict]) -> None:
     for name, better in metrics:
         b = [run[name] for run in base]
         h = [run[name] for run in head]
-        bq, hq = quartiles(b), quartiles(h)
+        bq, hq = (statistics.quantiles(xs, n=4, method="inclusive") for xs in (b, h))
         sign = -1 if better == "lower" else 1
         wins = sum(1 for x, y in zip(b, h) if sign * (y - x) > 0)
         shift = hq[1] - bq[1]
@@ -93,9 +89,7 @@ def main(argv=None) -> int:
     ap.add_argument("base")
     ap.add_argument("head")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", default="oracle,count,points,sweep")
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--workloads", help="comma-separated subset of the workloads")
     ap.add_argument("--tmp", default=None, help="where to make the temporary trees")
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -108,15 +102,19 @@ def main(argv=None) -> int:
             os.mkdir(trees[side])
             print(f"{side}: {export(rev, trees[side])}")
         with open(os.path.join(trees["head"], "BENCHMARK.json"), encoding="utf-8") as fh:
-            metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
-        for workload in args.workloads.split(","):
+            bench = json.load(fh)
+        metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+        workloads = [w["name"] for w in bench["workloads"]]
+        if args.workloads:
+            workloads = args.workloads.split(",")
+        for workload in workloads:
             runs = {"base": [], "head": []}
-            for k in range(args.pairs):
-                order = ("base", "head") if k % 2 == 0 else ("head", "base")
+            for k in range(1, args.pairs + 1):
+                order = ("base", "head") if k % 2 else ("head", "base")
                 for side in order:
-                    runs[side].append(run_once(trees[side], workload, args.seed + k,
-                                               args.seconds))
-                print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
+                    runs[side].append(run_once(trees[side], workload, k,
+                                               bench["run_seconds"]))
+                print(f"{workload} pair {k}/{args.pairs} done", file=sys.stderr)
             report(workload, metrics, runs["base"], runs["head"])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
