@@ -2,7 +2,6 @@
 """Interleaved pairs of the end-to-end benchmark on two revisions.
 
     python3 scripts/bench_pairs.py BASE HEAD --pairs 10
-    python3 scripts/bench_pairs.py BASE HEAD --pairs 10 --workloads oracle,points
 
 Run it from inside the repository.  Both revisions are exported with
 ``git archive`` into a temporary directory outside the repository (under
@@ -13,8 +12,8 @@ gives both sides seed k, and the side that runs first alternates from
 pair to pair.  A run that does not end with ``correct: true`` and
 ``failed 0`` stops the script (exit 1) with the run's output.
 
-For each workload (by default every one in the head's ``BENCHMARK.json``)
-and each end-to-end metric there, the script prints the median and
+For each workload in the head's ``BENCHMARK.json`` and each end-to-end
+metric there, the script prints the median and
 quartiles of both sides, the number of pairs in which the head is better,
 and whether the shift of the medians exceeds the base's quartile distance.
 The temporary trees are removed on exit; each run's workers end with the
@@ -89,7 +88,6 @@ def main(argv=None) -> int:
     ap.add_argument("base")
     ap.add_argument("head")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", help="comma-separated subset of the workloads")
     ap.add_argument("--tmp", default=None, help="where to make the temporary trees")
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -104,10 +102,7 @@ def main(argv=None) -> int:
         with open(os.path.join(trees["head"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
         metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
-        workloads = [w["name"] for w in bench["workloads"]]
-        if args.workloads:
-            workloads = args.workloads.split(",")
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = {"base": [], "head": []}
             for k in range(1, args.pairs + 1):
                 order = ("base", "head") if k % 2 else ("head", "base")

@@ -84,10 +84,7 @@ CASE_TAGS = {
     7: "thm1.4(remaining)",
 }
 
-# (verdict, cd bound, pi1 description, note) per case.  ``classify`` refines
-# two rows by r = v_p(gcd of the T degrees): r >= 1 makes cd infinite in
-# cases 3 and 4 and pi1 cyclic in case 3; one mark of degree prime to p makes
-# case 3 true.
+# (verdict, cd bound, pi1 description, note) per case
 CASE_ROWS = {
     1: (VERDICT_TRUE, CD_ONE, PI1_UNKNOWN, None),
     2: (VERDICT_TRUE, CD_LE_TWO, PI1_UNKNOWN, None),
@@ -308,8 +305,9 @@ def _walk(instance: MarkedInstance, cap: int, inv: dict):
         return 1, None, None
     if not char_p:
         if S_degrees or T_degrees:
-            raise UnsupportedCase("marked or punctured curves away from the "
-                                  "characteristic are out of scope")
+            raise UnsupportedCase(
+                "marked or punctured curves away from the characteristic are out of scope"
+            )
         inv["mu_p"] = mu_p_in_field(curve.field.q, p)
     # cases 3-5 and, with mu_p in F_q, cases 6-7 turn on p | h, so there
     # the budget error propagates
@@ -349,8 +347,10 @@ def classify(instance: MarkedInstance, budget: int | None = None) -> Classificat
         cd_bound = CD_INF
         if case == 3:
             pi1 = PI1_CYCLIC
-    elif case == 3 and euler["t"] == 1:
+    elif case == 3 and len(instance.T) == 1:
         # one mark, of degree prime to p: pi1 is trivial
         verdict = VERDICT_TRUE
-    return ClassificationReport(case, verdict, cd_bound, pi1, r if case == 3 else None,
-                                inv, euler, note)
+    return ClassificationReport(
+        case=case, verdict=verdict, cd_bound=cd_bound, pi1_description=pi1,
+        pi1_r=r if case == 3 else None, invariants=inv, euler=euler, note=note,
+    )
