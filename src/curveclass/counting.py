@@ -12,21 +12,37 @@ count above x^q, so the kernel takes the orbits of x -> x^q
 weights the result by the orbit's length.  With every orbit of length 1 it
 walks all of F_Q.
 
+The orbit representatives go through Horner's rule BLOCK at a time, and a
+step over a block runs no Python bytecode per element.  Each value is held
+as its log less the log c of the last nonzero coefficient added.  The step
+that multiplies by x^r and adds g^c' is then one gather,
+G -> zt[(c - c') mod n + G + (r*k mod n)], from the field's tiled Zech
+table (``Field.count_tables``, 20 bytes per element), with no reduction.
+A zero value is Z = 3n there, and the gather reads it back as the log of
+the next coefficient.  A run of zero coefficients takes no step: it is the
+power r of x in the next one, and a run at the end adds r*k mod n and puts
+the rare Z back.  x = 0 is one scalar step on the constant terms.
+
 Odd p requires h = 0 (the caller's model guarantees it): the count above x
 is 1 + chi(f(x)), and chi(g^a) = (-1)^a is the parity of the log.  For p = 2
 the count is 1 if h(x) = 0 (squaring is a bijection), else 2 when the
-absolute trace of u = f(x)/h(x)^2 vanishes and 0 otherwise.  The trace is
-F_2-linear in the digits of u, so it is the parity of index(u) & mask, where
-bit i of mask is the trace of t^i.  Both give the same answer at x and at
-x^q, since f(x^q) = f(x)^q, h(x^q) = h(x)^q, and the q-th power keeps chi
-and the trace.
+absolute trace of u = f(x)/h(x)^2 vanishes and 0 otherwise; the trace of
+g^j is one gather from the field's table of traces (4 bytes per element).
+Both give the same answer at
+x and at x^q, since f(x^q) = f(x)^q, h(x^q) = h(x)^q, and the q-th power
+keeps chi and the trace.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import compress, repeat
+from operator import add, itemgetter, sub
 
 from .errors import CurveClassError
+
+# orbit representatives per Horner block: a block's values are a few
+# hundred kilobytes whatever the size of the field
+BLOCK = 4096
 
 
 def backend_name() -> str:
@@ -45,45 +61,104 @@ def affine_count(p: int, m: int, field, f, h, orbits) -> int:
     """
     if (field.p, field.m) != (p, m):
         raise CurveClassError(f"field F_{field.q} is not F_{p}^{m}")
-    exp, log, zech = field.tables()
+    log = field.tables()[1]
+    zt, tr = field.count_tables()
     n = field.q - 1
+    Z = 3 * n
     ks, lens = orbits
-    f_logs = _value_logs(f, log, zech, n, ks)
-    weights = chain((1,), lens)  # x = 0 is an orbit of its own
-    count = 0
+    f_logs, h_logs = _top_logs(f, log), _top_logs(h, log)
+    f0, h0 = f[0] if f else 0, h[0] if h else 0
     if p != 2:
-        for a, w in zip(f_logs, weights):
-            if a < 0:
-                count += w
-            elif not a & 1:
-                count += 2 * w
-        return count
-    mask = field.trace_mask()
-    for a, b, w in zip(f_logs, _value_logs(h, log, zech, n, ks), weights):
-        if b < 0:
-            count += w
-        elif a < 0 or not (exp[(a - 2 * b) % n] & mask).bit_count() & 1:
-            count += 2 * w
+        count = 1 if not f0 else 0 if log[f0] & 1 else 2
+    else:
+        count = 1 if not h0 else 2 if not f0 or not tr[(log[f0] - 2 * log[h0]) % n] else 0
+    for i in range(0, len(ks), BLOCK):
+        kb, wb = list(ks[i : i + BLOCK]), lens[i : i + BLOCK]
+        if len(kb) == 1:
+            # itemgetter of one index returns a scalar: repeat it, weight 0
+            kb, wb = kb * 2, (wb[0], 0)
+        steps = {1: kb}
+        F, cf = _horner(f_logs, steps, zt, n)
+        zf = _positions(F, Z)
+        if p != 2:
+            # the parity of log f(x) = F + cf; Z is even, so zeros count as even
+            odd = sum(compress(wb, map((1).__and__, F)))
+            zeros = sum(wb[j] for j in zf)
+            count += 2 * odd + zeros if cf & 1 else 2 * (sum(wb) - odd) - zeros
+            continue
+        H, ch = _horner(h_logs, steps, zt, n)
+        zh = _positions(H, Z)
+        if zf or zh:
+            F, H = list(F), list(H)
+            for j in zf:
+                F[j] = 0
+            for j in zh:
+                H[j] = 0
+        # log u = F + cf - 2(H + ch), shifted into 0 < j < 4n
+        T = itemgetter(*map(sub, map(add, F, repeat((cf - 2 * ch) % n + 2 * n)), map(add, H, H)))(tr)
+        count += 2 * (sum(wb) - sum(compress(wb, T)))
+        for j in zh:
+            count += wb[j] * (2 * T[j] - 1)  # h(x) = 0: one point
+        for j in set(zf).difference(zh):
+            count += 2 * wb[j] * T[j]  # f(x) = 0: u = 0 has trace 0
     return count
 
 
-def _value_logs(coeffs, log, zech, n: int, ks):
-    """log c(x) at x = 0 and at x = g^k for k in ks; -1 where c(x) = 0.
+def _top_logs(coeffs, log) -> list[int]:
+    """The logs of the coefficients from the top, -1 for a zero one, with
+    the leading zeros dropped (empty for the zero polynomial)."""
+    logs = [log[c] if c else -1 for c in reversed(coeffs)]
+    while logs and logs[0] < 0:
+        logs.pop(0)
+    return logs
 
-    The logs are not reduced mod n, which keeps their parity since n is
-    even whenever parity is read.
+
+def _horner(logs, steps, zt, n: int):
+    """(G, c) with G[i] = log v(x) - c, or Z = 3n where v(x) = 0, at
+    x = g^k for the k of the block, steps[1][i], for the polynomial v
+    whose ``_top_logs`` are logs.  Each G[i] lies in 0..n-1 or is Z; c is
+    the log of the last nonzero coefficient added, 0 for v = 0.
+
+    A run of zero coefficients takes no step of its own: the next nonzero
+    one multiplies by x^r, r - 1 the length of the run, which adds the
+    logs r*k mod n (``_times``).  Zero coefficients at the end add them
+    mod n, and put the zeros back.
     """
-    logs = [log[c] if c else -1 for c in coeffs] or [-1]
-    yield logs[0]
-    top, rest = logs[-1], logs[-2::-1]
-    for k in ks:
-        a = top
-        for c in rest:
-            if a < 0:
-                a = c
-            elif c < 0:
-                a += k
-            else:
-                z = zech[(a + k - c) % n]
-                a = c + z if z >= 0 else -1
-        yield a
+    Z = 3 * n
+    if not logs:
+        return [Z] * len(steps[1]), 0
+    G, c, r = None, logs[0], 1  # None: v's top coefficient, G = 0 throughout
+    for a in logs[1:]:
+        if a < 0:
+            r += 1
+            continue
+        kr = _times(steps, r, n)
+        at = kr if G is None else map(add, G, kr)  # log(v * x^r) - c, unreduced
+        G = itemgetter(*at)(zt[(c - a) % n :])
+        c, r = a, 1
+    if G is None:
+        G = (0,) * len(steps[1])
+    if r > 1:
+        zs = _positions(G, Z)
+        G = list(map(n.__rmod__, map(add, G, _times(steps, r - 1, n))))
+        for i in zs:
+            G[i] = Z
+    return G, c
+
+
+def _times(steps, r: int, n: int):
+    """The logs r*k mod n of x^r over the block, kept in steps (steps[1]
+    is the block) for the other polynomial."""
+    kr = steps.get(r)
+    if kr is None:
+        kr = steps[r] = list(map(n.__rmod__, map(r.__mul__, steps[1])))
+    return kr
+
+
+def _positions(G, Z: int) -> list[int]:
+    """The indices i with G[i] == Z, by C-level scans."""
+    out, i = [], -1
+    for _ in range(G.count(Z)):
+        i = G.index(Z, i + 1)
+        out.append(i)
+    return out

@@ -93,16 +93,15 @@ class ClosedPoint(FrozenRecord):
     < deg pi.  An inert point has degree 2*deg(pi).
     """
 
-    __slots__ = ("id", "degree", "kind", "pi", "y_rep", "slot")
+    __slots__ = ("id", "degree", "kind", "pi", "y_rep")
 
     def __init__(self, id: str, degree: int, kind: str, pi: Poly | None = None,
-                 y_rep: Poly | None = None, slot: int | None = None):
+                 y_rep: Poly | None = None):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "y_rep", y_rep)
-        object.__setattr__(self, "slot", slot)
 
     def to_json(self) -> dict:
         return {
@@ -199,7 +198,7 @@ def validate(model) -> Curve:
     SingularModel / GeometricallyReducible / UnsupportedModel otherwise.
     """
     if isinstance(model, ProjectiveLine):
-        pt = ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0)
+        pt = ClosedPoint(id="d1#inf0", degree=1, kind="infinity")
         return Curve(model, 0, (pt,))
     if not isinstance(model, DoubleCover):
         raise CurveClassError(f"unknown model object {model!r}")
@@ -227,14 +226,14 @@ def _validate_odd(model: DoubleCover) -> Curve:
         raise SingularModel("f has a repeated root")
     genus = (f.degree - 1) // 2
     if f.degree % 2 == 1:
-        inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0),)
+        inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),)
     elif field.is_square_idx(f.leading()):
         inf = (
-            ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0),
-            ClosedPoint(id="d1#inf1", degree=1, kind="infinity", slot=1),
+            ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),
+            ClosedPoint(id="d1#inf1", degree=1, kind="infinity"),
         )
     else:
-        inf = (ClosedPoint(id="d2#inf0", degree=2, kind="infinity", slot=0),)
+        inf = (ClosedPoint(id="d2#inf0", degree=2, kind="infinity"),)
     return Curve(model, genus, inf)
 
 
@@ -267,14 +266,14 @@ def _validate_char2(model: DoubleCover) -> Curve:
         )
     genus = ram_total // 2 - 1
     if m_inf:
-        inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0),)
+        inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),)
     elif field.trace_to_prime_idx(val_idx) == 0:
         inf = (
-            ClosedPoint(id="d1#inf0", degree=1, kind="infinity", slot=0),
-            ClosedPoint(id="d1#inf1", degree=1, kind="infinity", slot=1),
+            ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),
+            ClosedPoint(id="d1#inf1", degree=1, kind="infinity"),
         )
     else:
-        inf = (ClosedPoint(id="d2#inf0", degree=2, kind="infinity", slot=0),)
+        inf = (ClosedPoint(id="d2#inf0", degree=2, kind="infinity"),)
     return Curve(model, genus, inf)
 
 
@@ -366,13 +365,16 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     """Number of points of the smooth projective model over F_{q^n}.
 
     The affine part is counted by ``affine_count`` on the exp/log tables of
-    F_{q^n}, one Horner evaluation per orbit of x -> x^q.  The tables and
-    the orbit arrays are built here on the first count over each extension
-    and kept with it; ``check_budget`` bounds their size, 16 bytes per
-    element for the tables plus 5 bytes per orbit.  While it runs, the
-    build briefly holds one more list with an entry per element (the
-    table of x -> t*x, then the Zech logarithms before they are packed),
-    about 60 bytes per element at its peak.
+    F_{q^n}, one Horner evaluation per orbit of x -> x^q, over a block of
+    orbits at a time.  The tables and the orbit arrays are built here on
+    the first count over each extension and kept with it; ``check_budget``
+    bounds their size.  They take 16 bytes per element for exp, log and
+    Zech, 20 for the count's tiled Zech table (``Field.count_tables``),
+    4 more in characteristic 2 for its table of traces, and 5 bytes per
+    orbit.  While it runs, the build briefly holds one more list with an
+    entry per element (the table of x -> t*x, then the Zech logarithms
+    before they are packed), about 60 bytes per element at its peak.  A
+    count itself holds one block of values, a few hundred kilobytes.
     """
     if n < 1:
         raise CurveClassError("extension degree must be >= 1")
@@ -434,7 +436,7 @@ def closed_points(
 
     Finite points of a fixed degree are sorted by (deg pi, pi, y-representative)
     and labelled d{D}#{k}; the points above x = infinity close each degree
-    block with ids d{D}#inf{slot}.
+    block with ids d{D}#inf{i}.
     """
     if max_degree < 1:
         raise CurveClassError("max_degree must be >= 1")

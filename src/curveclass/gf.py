@@ -6,7 +6,8 @@ Conventions used throughout the package:
   coefficient tuple over F_p, low degree first, monic.  When no modulus is
   supplied the canonical one is chosen: the monic irreducible of degree m
   whose coefficient tuple (c_0, ..., c_{m-1}) is smallest in lexicographic
-  order (compared componentwise, low degree first).
+  order (compared componentwise, low degree first), searched once per
+  (p, m) in a process.
 * A field element is a plain int, its index 0..q-1, sum(c_i * p^i) over its
   digits; the index doubles as the canonical element order.  There is no
   element type: arithmetic goes through Field.add_idx, mul_idx, inv_idx,
@@ -17,7 +18,9 @@ Conventions used throughout the package:
   log, plus Zech logarithms zech[k] = log(1 + g^k) for addition.  Fields
   with q <= 128 build them at construction; larger ones on the first call
   to Field.tables(), which count_points makes for the extension it counts
-  over, and sqrt_idx makes in odd characteristic.  For m > 1 the powers
+  over, and sqrt_idx makes in odd characteristic.  Point counts also
+  read Field.count_tables(), built on the first count: zech tiled three
+  times and, for p = 2, the trace of each g^j.  For m > 1 the powers
   of t are read off an index table of x -> t*x built a block of p^(m-1)
   indices at a time.  When t generates, g is t; otherwise t generates a
   subgroup, and the same table walks each of its cosets from a leader
@@ -332,13 +335,22 @@ def _monic_candidates(constants: Iterable[int], p: int, m: int) -> Iterator[list
             rest[i] += 1
 
 
+# (p, m) -> _canonical_modulus(p, m), so a field rebuilt from its description
+# searches no more
+_CANONICAL_MODULI: dict = {}
+
+
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
+    mod = _CANONICAL_MODULI.get((p, m))
+    if mod is not None:
+        return mod
     # a zero constant term makes x a factor, so c_0 runs over 1..p-1 only
     for cand in _monic_candidates(range(1, p), p, m):
         if _fp_is_irreducible(cand, p):
-            return tuple(cand)
+            mod = _CANONICAL_MODULI[p, m] = tuple(cand)
+            return mod
     raise CurveClassError("no irreducible modulus found")  # unreachable
 
 
@@ -385,7 +397,7 @@ class Field:
     they are built; before, on plain ints mod p when m = 1 and on the
     packed ring F_p[t]/(modulus) when m > 1."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_ring", "_pw", "_exp", "_log", "_zech", "_mask")
+    __slots__ = ("p", "m", "q", "modulus", "_ring", "_pw", "_exp", "_log", "_zech", "_mask", "_tiles")
 
     def __init__(self, p: int, m: int, modulus: Iterable[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -411,7 +423,7 @@ class Field:
         self._pw = [p**i for i in range(m + 1)]
         # the untabled product for m > 1; a prime field multiplies ints mod p
         self._ring = _FpRing(list(mod), p) if m > 1 else None
-        self._exp = self._log = self._zech = self._mask = None
+        self._exp = self._log = self._zech = self._mask = self._tiles = None
         if self.q <= _TABLE_LIMIT:
             self.tables()
 
@@ -501,6 +513,38 @@ class Field:
             zech[log[p - 1]] = -1
             self._exp, self._log, self._zech = exp, log, zech
         return self._exp, self._log, self._zech
+
+    def count_tables(self):
+        """(zt, tr): the tables of the block point count
+        (``counting.affine_count``), built on first use and kept.
+
+        zt is a memoryview of zech tiled three times, so that
+        zt[o + a + k] = zech[(o + a + k) mod n] for o, a, k < n = q - 1
+        with no reduction.  The entry where 1 + g^k = 0 is Z = 3n in place
+        of -1, and zeros follow the tiles through index 5n, so that
+        zt[o + Z + k] = 0 for o, k < n: a zero value read through it gives
+        the log of the next coefficient.  It takes 20 bytes per element.
+        For p = 2, tr[j] is the absolute trace of g^(j mod n) for j < 4n,
+        one byte each; for odd p, tr is None.
+        """
+        if self._tiles is None:
+            exp, log, zech = self.tables()
+            n = self.q - 1
+            zt = zech * 3
+            j = log[self.p - 1]  # 1 + g^j = 0 where g^j = -1
+            zt[j] = zt[j + n] = zt[j + 2 * n] = 3 * n
+            zt.extend(array("i", [0]) * (2 * n + 1))
+            tr = None
+            if self.p == 2:
+                # par[x] is the trace of the element of index x, the parity
+                # of x & mask, built up one digit of x at a time
+                mask, par = self.trace_mask(), b"\0"
+                flip = bytes.maketrans(b"\0\1", b"\1\0")
+                for i in range(self.m):
+                    par += par.translate(flip) if mask >> i & 1 else par
+                tr = bytes(map(par.__getitem__, exp[:n])) * 4
+            self._tiles = memoryview(zt), tr
+        return self._tiles
 
     def _primitive_element(self) -> int:
         """The least index of a generator of F_q^*.  For m > 1 the search
@@ -1057,11 +1101,12 @@ class Extension:
     is a table lookup.
     """
 
-    __slots__ = ("base", "n", "big", "_rho", "_unemb", "_orbits", "_roots")
+    __slots__ = ("base", "n", "big", "_rho", "_emb", "_unemb", "_orbits", "_roots")
 
     def __init__(self, base: Field, n: int, big: Field):
         self.base, self.n, self.big = base, n, big
         big.tables()
+        self._emb = {}  # base index -> its image, filled as emb is asked
         self._unemb = self._orbits = self._roots = None
         # the image of the base field's t: prime-field constants need none
         self._rho = None
@@ -1079,7 +1124,10 @@ class Extension:
         """The index in F_{q^n} of the base element ``idx``."""
         if self._rho is None:
             return idx
-        return self._horner(self.base.digits(idx), self._rho)
+        img = self._emb.get(idx)
+        if img is None:
+            img = self._emb[idx] = self._horner(self.base.digits(idx), self._rho)
+        return img
 
     def _base_index(self, idx: int) -> int:
         """The inverse of ``emb``: -1 outside the image of the base field."""

@@ -65,6 +65,13 @@ def test_wire_format_takes_json_integers_only(curve_file, capsys, key, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_model_without_kind_exits_1(curve_file, capsys):
+    data = curve_json(3, f=[0, 1, 0, 1])
+    del data["model"]["kind"]
+    assert main(["validate", curve_file("nokind.json", data)]) == 1
+    assert capsys.readouterr().err.strip() == 'error: model description needs a "kind"'
+
+
 @pytest.mark.parametrize("value", ["abc", "2"])
 def test_budget_env_is_ignored(curve_file, capsys, monkeypatch, value):
     # the budget comes from --budget or the default only; "2" would refuse N_1

@@ -272,6 +272,19 @@ def test_primitive_modulus_is_not_proven_irreducible_again(monkeypatch):
         Field(3, 4, (1, 0, 0, 0, 1))
 
 
+def test_canonical_modulus_is_searched_once(monkeypatch):
+    # a base field built again from its description reuses the modulus found
+    from curveclass import gf
+
+    first = Field(2, 4).modulus
+
+    def no_test(*args):
+        raise AssertionError("canonical modulus searched again")
+
+    monkeypatch.setattr(gf, "_fp_is_irreducible", no_test)
+    assert Field(2, 4).modulus == first
+
+
 def test_explicit_modulus_over_a_61_bit_prime():
     # lanes wider than 8 bytes: x^2 + 1 is irreducible since p = 3 mod 4,
     # and x^2 - 1 = (x - 1)(x + 1)
@@ -312,6 +325,15 @@ def test_extension_rho_is_least_linear_factor_root():
                      for fac, _ in poly_factor(Poly(big, base.modulus)) if fac.degree == 1]
             assert len(roots) == m
             assert ext._rho == min(roots), (p, m, n)
+
+
+def test_emb_keeps_each_image():
+    # the second pass reads the images the first one kept
+    for (p, m), n in [((2, 4), 3), ((3, 2), 2), ((2, 2), 5)]:
+        ext = _extension(field_create(p, m), n)
+        for _ in range(2):
+            for c in range(ext.base.q):
+                assert ext.emb(c) == ext._horner(ext.base.digits(c), ext._rho), (p, m, n, c)
 
 
 def _x_has_full_order(f, p):

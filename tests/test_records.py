@@ -48,10 +48,9 @@ RECORDS = [
             "kind": "split",
             "pi": Poly(F5, [0, 1]),
             "y_rep": Poly(F5, [1]),
-            "slot": 0,
         },
-        "slot",
-        1,
+        "y_rep",
+        Poly(F5, [2]),
     ),
     (Curve, {"model": LINE, "genus": 0, "infinity": (POINT,)}, "genus", 1),
     (MarkedInstance, {"curve": CURVE, "S": frozenset({"d1#0"}), "T": frozenset(), "p": 2}, "p", 3),
