@@ -28,9 +28,8 @@ is 1 + chi(f(x)), and chi(g^a) = (-1)^a is the parity of the log.  For p = 2
 the count is 1 if h(x) = 0 (squaring is a bijection), else 2 when the
 absolute trace of u = f(x)/h(x)^2 vanishes and 0 otherwise; the trace of
 g^j is one gather from the field's table of traces (4 bytes per element).
-Both give the same answer at
-x and at x^q, since f(x^q) = f(x)^q, h(x^q) = h(x)^q, and the q-th power
-keeps chi and the trace.
+Both give the same answer at x and at x^q, since f(x^q) = f(x)^q,
+h(x^q) = h(x)^q, and the q-th power keeps chi and the trace.
 """
 
 from __future__ import annotations
