@@ -167,6 +167,17 @@ def test_runs_of_zero_coefficients_seeded():
             got = affine_count(p, d, k, fc, hc, plain_walk(k))
             ref = brute_count(k, fc, hc) if k.q <= 8 else scalar_count(k, fc, hc)
             assert got == ref, (p, d, fc, hc)
+    # the same shapes over F_q counted in F_{q^n}, orbits against the plain walk
+    for p, m, n in [(2, 1, 5), (2, 2, 3), (3, 1, 4), (5, 1, 3)]:
+        k = field_create(p, m)
+        ext = _extension(k, n)
+        big = ext.big
+        for _ in range(6):
+            fc = [rng.randrange(k.q) if rng.random() < 0.3 else 0 for _ in range(rng.randrange(1, 10))]
+            hc = [rng.randrange(k.q) if rng.random() < 0.4 else 0 for _ in range(rng.randrange(0, 5))] if p == 2 else []
+            f, h = [ext.emb(c) for c in fc], [ext.emb(c) for c in hc]
+            got = affine_count(p, big.m, big, f, h, ext.orbits())
+            assert got == affine_count(p, big.m, big, f, h, plain_walk(big)), (p, m, n, fc, hc)
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)])
