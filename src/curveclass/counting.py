@@ -27,14 +27,14 @@ Odd p requires h = 0 (the caller's model guarantees it): the count above x
 is 1 + chi(f(x)), and chi(g^a) = (-1)^a is the parity of the log.  For p = 2
 the count is 1 if h(x) = 0 (squaring is a bijection), else 2 when the
 absolute trace of u = f(x)/h(x)^2 vanishes and 0 otherwise; the trace of
-g^j is one gather from the field's table of traces (4 bytes per element).
+g^-j is one gather from the field's table of traces (3 bytes per element).
 Both give the same answer at x and at x^q, since f(x^q) = f(x)^q,
 h(x^q) = h(x)^q, and the q-th power keeps chi and the trace.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, itemgetter, sub
 
 from .errors import CurveClassError
@@ -70,7 +70,7 @@ def affine_count(p: int, m: int, field, f, h, orbits) -> int:
     if p != 2:
         count = 1 if not f0 else 0 if log[f0] & 1 else 2
     else:
-        count = 1 if not h0 else 2 if not f0 or not tr[(log[f0] - 2 * log[h0]) % n] else 0
+        count = 1 if not h0 else 2 if not f0 or not tr[(2 * log[h0] - log[f0]) % n] else 0
     for i in range(0, len(ks), BLOCK):
         kb, wb = list(ks[i : i + BLOCK]), lens[i : i + BLOCK]
         if len(kb) == 1:
@@ -93,8 +93,11 @@ def affine_count(p: int, m: int, field, f, h, orbits) -> int:
                 F[j] = 0
             for j in zh:
                 H[j] = 0
-        # log u = F + cf - 2(H + ch), shifted into 0 < j < 4n
-        T = itemgetter(*map(sub, map(add, F, repeat((cf - 2 * ch) % n + 2 * n)), map(add, H, H)))(tr)
+        # -log u = 2(H + ch) - (F + cf); 2H - F lies in -n..2n, and a slice
+        # of length 2n, a multiple of the period n, reads a negative index
+        # as the same trace
+        o = (2 * ch - cf) % n
+        T = itemgetter(*map(sub, map(add, H, H), F))(tr[o : o + 2 * n])
         count += 2 * (sum(wb) - sum(compress(wb, T)))
         for j in zh:
             count += wb[j] * (2 * T[j] - 1)  # h(x) = 0: one point

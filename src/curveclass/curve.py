@@ -370,7 +370,7 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     the first count over each extension and kept with it; ``check_budget``
     bounds their size.  They take 16 bytes per element for exp, log and
     Zech, 20 more for the count's tiled Zech table (``Field.count_tables``),
-    4 more in characteristic 2 for its table of traces, and 5 bytes per
+    3 more in characteristic 2 for its table of traces, and 5 bytes per
     orbit.  While it runs, the build briefly holds one more list with an
     entry per element (the table of x -> t*x, then the Zech logarithms
     before they are packed), about 60 bytes per element at its peak.  A

@@ -20,7 +20,7 @@ Conventions used throughout the package:
   to Field.tables(), which count_points makes for the extension it counts
   over, and sqrt_idx makes in odd characteristic.  Point counts also
   read Field.count_tables(), built on the first count: zech tiled three
-  times and, for p = 2, the trace of each g^j.  For m > 1 the powers
+  times and, for p = 2, the trace of each g^-j.  For m > 1 the powers
   of t are read off an index table of x -> t*x built a block of p^(m-1)
   indices at a time.  When t generates, g is t; otherwise t generates a
   subgroup, and the same table walks each of its cosets from a leader
@@ -524,8 +524,8 @@ class Field:
         of -1, and zeros follow the tiles through index 5n, so that
         zt[o + Z + k] = 0 for o, k < n: a zero value read through it gives
         the log of the next coefficient.  It takes 20 bytes per element.
-        For p = 2, tr[j] is the absolute trace of g^(j mod n) for j < 4n,
-        one byte each; for odd p, tr is None.
+        For p = 2, tr[j] is the absolute trace of g^(-j) for j < 3n, one
+        byte each; for odd p, tr is None.
         """
         if self._tiles is None:
             exp, log, zech = self.tables()
@@ -542,7 +542,7 @@ class Field:
                 flip = bytes.maketrans(b"\0\1", b"\1\0")
                 for i in range(self.m):
                     par += par.translate(flip) if mask >> i & 1 else par
-                tr = bytes(map(par.__getitem__, exp[:n])) * 4
+                tr = bytes(map(par.__getitem__, exp[n:0:-1])) * 3
             self._tiles = memoryview(zt), tr
         return self._tiles
 
