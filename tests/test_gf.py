@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -759,6 +760,25 @@ def test_canonical_modulus_large_degree():
     mod = field_create(3, 40).modulus
     assert len(mod) == 41 and mod[-1] == 1
     assert _fp_is_irreducible(list(mod), 3)
+
+
+# (p, m) pairs whose two moduli, canonical and primitive, are pinned below:
+# any change to either search must leave every one of them as it was
+MODULI_PAIRS = (
+    [(2, m) for m in range(2, 21)] + [(3, m) for m in range(2, 11)]
+    + [(5, m) for m in range(2, 7)] + [(7, m) for m in range(2, 6)]
+    + [(p, m) for p in (11, 13) for m in (2, 3)]
+    + [(101, 2), (999983, 2), (10**9 + 7, 2), (2**61 - 1, 2)]
+)
+MODULI_DIGEST = "42f19f91b6bec0923469c3644c0fa3cf7f007674d4c10e2d0a46b06d39f74227"
+
+
+def test_moduli_digest():
+    text = "".join(f"{p} {m} {field_create(p, m).modulus} {primitive_modulus(p, m)}\n"
+                   for p, m in MODULI_PAIRS)
+    assert len(MODULI_PAIRS) == 45
+    assert text.endswith("2305843009213693951 2 (1, 0, 1) (37, 2, 1)\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULI_DIGEST
 
 
 def _is_prime_by_trial_division(n):
