@@ -720,6 +720,10 @@ class Field:
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
 
+    def __reduce__(self):
+        # the tables are caches, so a pickle or copy holds the description
+        return field_create, (self.p, self.m, self.modulus)
+
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m})"
 

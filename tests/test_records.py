@@ -2,6 +2,7 @@
 records, the frozen ten hash by value and refuse assignment, and the
 mutable ClassificationReport takes assignment and refuses hashing."""
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from curveclass import (
     field_create,
 )
 from curveclass.errors import CurveClassError
+from curveclass.zeta import l_polynomial
+from util import build
 
 F5 = field_create(5, 1)
 F7 = field_create(7, 1)
@@ -115,3 +118,14 @@ def test_l_polynomial_checks_run_at_construction():
     with pytest.raises(CurveClassError, match="functional equation"):
         LPolynomial(q=5, genus=1, coeffs=(1, 1, 4))
     assert LPolynomial(q=5, genus=1, coeffs=(1, 1, 5)).class_number == 7
+
+
+def test_counted_curve_pickles_and_copies():
+    # a count leaves tables in the field, a memoryview among them; they are
+    # caches, so the field travels as its description alone
+    curve = build(5, f=[1, 0, 0, 1])  # y^2 = x^3 + 1
+    l_polynomial(curve)
+    assert curve.field._tiles is not None
+    for twin in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
+        assert twin == curve
+        assert twin.field.mul_idx(2, 3) == 1
