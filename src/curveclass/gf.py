@@ -6,8 +6,11 @@ Conventions used throughout the package:
   coefficient tuple over F_p, low degree first, monic.  When no modulus is
   supplied the canonical one is chosen: the monic irreducible of degree m
   whose coefficient tuple (c_0, ..., c_{m-1}) is smallest in lexicographic
-  order (compared componentwise, low degree first), searched once per
-  (p, m) in a process.
+  order (compared componentwise, low degree first).  One search finds it
+  and the primitive modulus of curve.py's extensions alike, once per (p, m)
+  in a process, into one record of proven moduli that Field does not
+  test again.  field_create is the way to a field: it builds each
+  description once in a process and returns that one object after.
 * A field element is a plain int, its index 0..q-1, sum(c_i * p^i) over its
   digits; the index doubles as the canonical element order.  There is no
   element type: arithmetic goes through Field.add_idx, mul_idx, inv_idx,
@@ -183,7 +186,7 @@ def necklace_count(q: int, d: int) -> int:
 # product is one int product (Kronecker substitution).  Poly over a prime
 # field multiplies this way; _FpRing is F_p[x]/(f) on such ints, and F_{p^m}
 # multiplies on it until its tables are built.
-# The modulus searches rest on two facts:
+# The modulus search rests on two facts:
 # * Ben-Or (1981): f of degree m is irreducible iff gcd(x^(p^k) - x, f) = 1
 #   for k = 1 .. m // 2; most reducible f fail within a few steps.
 # * Over an irreducible f, x^(p^m - 1) = 1 holds by itself, and for a prime
@@ -335,53 +338,47 @@ def _monic_candidates(constants: Iterable[int], p: int, m: int) -> Iterator[list
             rest[i] += 1
 
 
-# (p, m) -> _canonical_modulus(p, m), so a field rebuilt from its description
-# searches no more
-_CANONICAL_MODULI: dict = {}
+# (p, m, primitive) -> the modulus _least_modulus found: proven irreducible,
+# and t a generator when primitive, so Field tests neither again
+_PROVEN_MODULI: dict = {}
 
 
-def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (0, 1)
-    mod = _CANONICAL_MODULI.get((p, m))
+def _least_modulus(p: int, m: int, primitive: bool) -> tuple[int, ...]:
+    """The lex-least monic irreducible of degree m over F_p, in the canonical
+    modulus order; with primitive, the lex-least one whose root t generates
+    F_{p^m}^* (m >= 2).  Searched once per (p, m, primitive) in a process.
+
+    A zero constant term makes x a factor, so c_0 runs over 1..p-1 only.
+    Each candidate must pass Ben-Or's test.  A primitive search tries only
+    the constant terms with (-1)^m f(0) a generator of F_p^*: that is the
+    norm of t, which a generator maps onto.  Ben-Or's first gcd(x^p - x, f)
+    catches every root in F_p, and then x generates iff x^(n/r) != 1 for
+    the primes r | n = p^m - 1 that do not divide p - 1: x^n = 1 holds over
+    an irreducible f, and the norm covers r | p - 1 (see above).
+    """
+    key = (p, m, primitive)
+    mod = _PROVEN_MODULI.get(key)
     if mod is not None:
         return mod
-    # a zero constant term makes x a factor, so c_0 runs over 1..p-1 only
-    for cand in _monic_candidates(range(1, p), p, m):
-        if _fp_is_irreducible(cand, p):
-            mod = _CANONICAL_MODULI[p, m] = tuple(cand)
+    constants, cofactors = range(1, p), []
+    if primitive:
+        n = p**m - 1
+        cofactors = [n // r for r in prime_factors(n) if (p - 1) % r]
+        units = [(p - 1) // r for r in prime_factors(p - 1)]
+        # c_0 ascending where (-1)^m c_0 generates, lazily: the search nearly
+        # always stops at one of the first few
+        constants = (c for c in constants if all(pow((-1) ** m * c, e, p) != 1 for e in units))
+    for cand in _monic_candidates(constants, p, m):
+        ring = _FpRing(cand, p)
+        if not ring.has_small_factor() and all(ring.pow(ring.x, e) != 1 for e in cofactors):
+            mod = _PROVEN_MODULI[key] = tuple(cand)
             return mod
     raise CurveClassError("no irreducible modulus found")  # unreachable
 
 
-# (p, m) -> primitive_modulus(p, m): proven irreducible with t a generator, so
-# Field tests neither again
-_PRIMITIVE_MODULI: dict = {}
-
-
 def primitive_modulus(p: int, m: int) -> tuple[int, ...]:
-    """The lex-least monic modulus of degree m >= 2 whose root t generates F_{p^m}^*.
-
-    Candidates run in the canonical modulus order.  Only constant terms with
-    (-1)^m f(0) a generator of F_p^* are tried: that is the norm of t, which
-    a generator maps onto.  Each candidate must pass Ben-Or's test, whose
-    first gcd(x^p - x, f) catches every root in F_p (f(0) != 0 here), and
-    then x generates iff x^(n/r) != 1 for the primes r | n = p^m - 1 that
-    do not divide p - 1: x^n = 1 holds over an irreducible f, and the norm
-    covers r | p - 1 (see above).
-    """
-    n = p**m - 1
-    cofactors = [n // r for r in prime_factors(n) if (p - 1) % r]
-    units = [(p - 1) // r for r in prime_factors(p - 1)]
-    # c_0 ascending where (-1)^m c_0 generates, lazily: the search nearly
-    # always stops at one of the first few
-    constants = (c for c in range(1, p) if all(pow((-1) ** m * c, e, p) != 1 for e in units))
-    for cand in _monic_candidates(constants, p, m):
-        ring = _FpRing(cand, p)
-        if not ring.has_small_factor() and all(ring.pow(ring.x, e) != 1 for e in cofactors):
-            _PRIMITIVE_MODULI[p, m] = tuple(cand)
-            return tuple(cand)
-    raise CurveClassError("no primitive modulus found")  # unreachable
+    """The lex-least monic modulus of degree m >= 2 whose root t generates F_{p^m}^*."""
+    return _least_modulus(p, m, True)
 
 
 def is_json_int(value) -> bool:
@@ -402,13 +399,13 @@ class Field:
     def __init__(self, p: int, m: int, modulus: Iterable[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeCharacteristic(f"p = {p!r} is not prime")
-        if not isinstance(m, int) or m < 1:
+        if not is_json_int(m) or m < 1:
             raise CurveClassError(f"extension degree m = {m!r} must be a positive integer")
         self.p = p
         self.m = m
         self.q = p**m
         if modulus is None:
-            mod = _canonical_modulus(p, m)
+            mod = (0, 1) if m == 1 else _least_modulus(p, m, False)
         else:
             mod = tuple(modulus)
             if not all(map(is_json_int, mod)):
@@ -416,8 +413,9 @@ class Field:
             mod = tuple(c % p for c in mod)
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise ReducibleModulus(f"modulus must be monic of degree {m}")
-            # a modulus that primitive_modulus returned is proven irreducible
-            if _PRIMITIVE_MODULI.get((p, m)) != mod and not _fp_is_irreducible(list(mod), p):
+            # a modulus that a search returned is proven irreducible
+            proven = mod in (_PROVEN_MODULI.get((p, m, False)), _PROVEN_MODULI.get((p, m, True)))
+            if not proven and not _fp_is_irreducible(list(mod), p):
                 raise ReducibleModulus(f"modulus {list(mod)} is reducible over F_{p}")
         self.modulus = mod
         self._pw = [p**i for i in range(m + 1)]
@@ -551,7 +549,7 @@ class Field:
         starts at p, the index of t: an element of F_p has order dividing
         p - 1, so it never generates.  Over a modulus that
         primitive_modulus returned, t is the answer and is not tested."""
-        if _PRIMITIVE_MODULI.get((self.p, self.m)) == self.modulus:
+        if _PROVEN_MODULI.get((self.p, self.m, True)) == self.modulus:
             return self.p
         n = self.q - 1
         cofactors = [n // r for r in prime_factors(n)]
@@ -728,9 +726,26 @@ class Field:
         return f"Field(p={self.p}, m={self.m})"
 
 
+# (p, m, modulus) -> the one Field of that description in a process, under
+# the modulus as given (None for the canonical one) and as reduced
+_FIELDS: dict = {}
+
+
 def field_create(p: int, m: int, modulus: Iterable[int] | None = None) -> Field:
-    """Construct F_{p^m}; canonical modulus when none is given."""
-    return Field(p, m, modulus)
+    """F_{p^m}, under the canonical modulus when none is given.
+
+    Each description is built once in a process: equal descriptions, and
+    any two that give the same modulus, return the same object.  Only a
+    description of JSON integers is looked up, so 7.0 or True never finds
+    the field of 7 or 1 and is refused by ``Field`` as before.
+    """
+    mod = None if modulus is None else tuple(modulus)
+    key = (p, m, mod)
+    field = _FIELDS.get(key) if all(map(is_json_int, (p, m, *(mod or ())))) else None
+    if field is None:
+        field = Field(p, m, mod)
+        field = _FIELDS[key] = _FIELDS.setdefault((p, m, field.modulus), field)
+    return field
 
 
 def det_rank(rows: list[list[int]], field: Field) -> tuple[int, int]:

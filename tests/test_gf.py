@@ -18,7 +18,8 @@ from curveclass import (
     poly_factor,
     poly_gcd,
 )
-from curveclass.curve import _extension
+from curveclass.curve import _extension, field_from_json, field_to_json
+from curveclass.errors import NonPrimeCharacteristic
 from curveclass.gf import (
     Extension,
     Field,
@@ -283,7 +284,93 @@ def test_canonical_modulus_is_searched_once(monkeypatch):
         raise AssertionError("canonical modulus searched again")
 
     monkeypatch.setattr(gf, "_fp_is_irreducible", no_test)
+    monkeypatch.setattr(gf, "_monic_candidates", no_test)
     assert Field(2, 4).modulus == first
+
+
+def test_searched_modulus_read_back_is_not_proven_again(monkeypatch):
+    # F_{3^4}'s canonical and primitive moduli differ; a description of
+    # either, read back with the table of fields forgotten, builds a new
+    # Field that finds its modulus in the record
+    from curveclass import gf
+
+    fields = [field_create(3, 4), field_create(3, 4, primitive_modulus(3, 4))]
+    assert fields[0].modulus != fields[1].modulus
+
+    def no_test(*args):
+        raise AssertionError("modulus proven again")
+
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    monkeypatch.setattr(gf, "_fp_is_irreducible", no_test)
+    monkeypatch.setattr(gf._FpRing, "has_small_factor", no_test)
+    for k in fields:
+        back = field_from_json(field_to_json(k))
+        assert back == k and back is not k
+
+
+def test_field_create_builds_each_description_once():
+    # equal descriptions, and descriptions that reduce to the same modulus,
+    # return one object; the class itself still builds a fresh one
+    for p, m in [(5, 1), (2, 4), (3, 3), (7, 2)]:
+        k = field_create(p, m)
+        assert field_create(p, m) is k
+        assert field_create(p, m, list(k.modulus)) is k
+        assert field_create(p, m, (c + p for c in k.modulus)) is k
+        assert Field(p, m) == k and Field(p, m) is not k
+    # F_{2^8} reached from F_4 (n = 4) and from F_16 (n = 2) is one field
+    assert _extension(field_create(2, 2), 4).big is _extension(field_create(2, 4), 2).big
+
+
+def test_description_read_again_builds_nothing(monkeypatch):
+    # a second read runs no Ben-Or, no modulus search and no table build
+    from curveclass import gf
+
+    descriptions = [{"p": 7}, {"p": 2, "m": 6}, {"p": 3, "m": 5, "modulus": [1, 0, 0, 0, 2, 1]},
+                    {"p": 5, "m": 3, "modulus": [3, 3, 0, 1]}]
+    first = [field_from_json(d) for d in descriptions]
+
+    def no_build(*args):
+        raise AssertionError("field built again")
+
+    monkeypatch.setattr(gf._FpRing, "has_small_factor", no_build)
+    monkeypatch.setattr(gf, "_monic_candidates", no_build)
+    monkeypatch.setattr(Field, "tables", no_build)
+    for d, k in zip(descriptions, first):
+        assert field_from_json(d) is k
+        assert field_from_json(field_to_json(k)) is k
+
+
+# field_create arguments, and the exception class and message they raise
+MALFORMED = [
+    ((7.0, 1), NonPrimeCharacteristic, "p = 7.0 is not prime"),
+    ((True, 1), NonPrimeCharacteristic, "p = True is not prime"),
+    (([7], 1), NonPrimeCharacteristic, "p = [7] is not prime"),
+    ((7, True), CurveClassError, "extension degree m = True must be a positive integer"),
+    ((7, 1.0), CurveClassError, "extension degree m = 1.0 must be a positive integer"),
+    ((3, 2, (1.0, 0, 1)), CurveClassError, "modulus [1.0, 0, 1] must be a list of integers"),
+    ((3, 2, [[1], 0, 1]), CurveClassError, "modulus [[1], 0, 1] must be a list of integers"),
+    ((3, 2, (True, 0, 1)), CurveClassError, "modulus [True, 0, 1] must be a list of integers"),
+    ((3, 2, (2, 0, 1)), ReducibleModulus, "modulus [2, 0, 1] is reducible over F_3"),
+]
+
+
+def test_malformed_descriptions_are_refused_after_their_field_is_built():
+    # the well-formed fields of the same values are built first: 7.0 or
+    # True must not find them
+    field_create(7, 1)
+    field_create(3, 2, (1, 0, 1))
+    for args, cls, message in MALFORMED:
+        for _ in range(2):
+            with pytest.raises(cls) as exc:
+                field_create(*args)
+            assert type(exc.value) is cls and str(exc.value) == message, args
+
+
+def test_field_refuses_a_bool_degree():
+    # True == 1, but JSON writes it as true, not as an integer
+    for m in (True, False):
+        with pytest.raises(CurveClassError, match=f"m = {m} must be a positive integer"):
+            Field(7, m)
 
 
 def test_explicit_modulus_over_a_61_bit_prime():
@@ -300,7 +387,7 @@ def test_walk_from_t_checks_its_order(monkeypatch):
     # its walk returns to 1 at step 4 and the table build refuses it
     from curveclass import gf
 
-    monkeypatch.setitem(gf._PRIMITIVE_MODULI, (3, 2), (1, 0, 1))
+    monkeypatch.setitem(gf._PROVEN_MODULI, (3, 2, True), (1, 0, 1))
     with pytest.raises(CurveClassError, match="first return to 1"):
         Field(3, 2, (1, 0, 1))
 
@@ -312,6 +399,27 @@ def test_coset_walk_checks_its_generator(monkeypatch):
     monkeypatch.setattr(Field, "_primitive_element", lambda self: 2)
     with pytest.raises(CurveClassError, match="internal: g\\^c"):
         Field(3, 2)
+
+
+def test_necklace_count_checks_its_sum(monkeypatch):
+    # with mobius 0 past 1 the sum is q^d alone, and 2^3 = 8 is not a
+    # multiple of 3
+    from curveclass import gf
+
+    monkeypatch.setattr(gf, "mobius", lambda n: int(n == 1))
+    with pytest.raises(CurveClassError, match="internal: necklace sum not divisible"):
+        necklace_count(2, 3)
+
+
+def test_root_table_checks_its_size(monkeypatch):
+    # F_2 has 2 monic irreducibles of degree 3; a necklace formula that
+    # says 3 makes the table of roots refuse itself
+    from curveclass import gf
+
+    ext = Extension(field_create(2, 1), 3, field_create(2, 3, primitive_modulus(2, 3)))
+    monkeypatch.setattr(gf, "necklace_count", lambda q, d: 3)
+    with pytest.raises(CurveClassError, match="internal: root table does not match"):
+        ext.roots()
 
 
 def test_extension_rho_is_least_linear_factor_root():
@@ -426,9 +534,10 @@ def test_index_digit_round_trip():
 def test_squares_and_roots():
     # F_131 and F_243 are past the table limit: their squares come from
     # untabled arithmetic, and they build their tables on the first sqrt_idx
-    # call; the others read the log tables from the start
+    # call; the others read the log tables from the start.  Field builds a
+    # fresh object, where field_create may return one another test tabled
     for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2), (131, 1), (3, 5)]:
-        k = field_create(p, m)
+        k = Field(p, m)
         squares = {k.mul_idx(a, a) for a in range(k.q)}
         if k.q > 128:
             assert k._exp is None

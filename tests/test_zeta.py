@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 curve_mod = importlib.import_module("curveclass.curve")
+zeta_mod = importlib.import_module("curveclass.zeta")
 from curveclass import (
     BudgetExceeded,
     LPolynomial,
@@ -359,3 +360,58 @@ def test_resolving_an_id_builds_no_field_past_g_plus_1(monkeypatch, p, m, f, h):
         resolve()
         degrees = {n for (_p, _mod, n) in curve_mod._EXT_CACHE}
         assert degrees and max(degrees) <= g + 1, (degrees, g)
+
+
+def _count_off_by_one(monkeypatch, module, degree):
+    # module.count_points, one point too many over F_{q^degree}
+    real = module.count_points
+
+    def wrong(curve, n, budget=None):
+        return real(curve, n, budget) + (n == degree)
+
+    monkeypatch.setattr(module, "count_points", wrong)
+
+
+def test_recount_catches_a_wrong_next_count(monkeypatch):
+    # L(u) comes from N_1 alone for g = 1, so a wrong N_2 shows in the recount
+    c = build(3, f=E_Z4_F3)
+    _count_off_by_one(monkeypatch, zeta_mod, c.genus + 1)
+    with pytest.raises(CurveClassError, match="internal: L-polynomial fails to predict"):
+        l_polynomial(c)
+
+
+def test_newton_recursion_catches_a_wrong_count(monkeypatch):
+    # for g = 2, 2 a_2 = s_1^2 - s_2 with s_n = q^n + 1 - N_n: N_2 off by one
+    # makes it odd
+    c = build(5, f=G2_X5PX)
+    assert c.genus == 2
+    _count_off_by_one(monkeypatch, zeta_mod, 2)
+    with pytest.raises(CurveClassError, match="internal: Newton recursion must divide exactly"):
+        l_polynomial(c)
+
+
+def test_recount_runs_at_a_budget_of_exactly_q_to_the_g_plus_1(monkeypatch):
+    # q^(g+1) = 9 for g = 1 over F_3: a budget of 9 affords the recount,
+    # one of 8 does not
+    c = build(3, f=E_Z4_F3)
+    seen = []
+    real = zeta_mod.count_points
+
+    def counted(curve, n, budget=None):
+        seen.append(n)
+        return real(curve, n, budget)
+
+    monkeypatch.setattr(zeta_mod, "count_points", counted)
+    for budget, degrees in [(9, [1, 2]), (8, [1])]:
+        seen.clear()
+        assert l_polynomial(c, budget=budget).coeffs == (1, 0, 3)
+        assert seen == degrees, budget
+
+
+def test_closed_point_counts_check_divisibility(monkeypatch):
+    # closed points of degree 2 number (N_2 - N_1) / 2: N_2 off by one
+    # leaves a remainder
+    c = build(3, f=E_Z4_F3)
+    _count_off_by_one(monkeypatch, curve_mod, 2)
+    with pytest.raises(CurveClassError, match=r"internal: point counts give \d+/2 closed points"):
+        closed_point_counts(c, 2)
