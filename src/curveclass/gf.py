@@ -736,8 +736,9 @@ def field_create(p: int, m: int, modulus: Iterable[int] | None = None) -> Field:
 
     Each description is built once in a process: equal descriptions, and
     any two that give the same modulus, return the same object.  Only a
-    description of JSON integers is looked up, so 7.0 or True never finds
-    the field of 7 or 1 and is refused by ``Field`` as before.
+    description of JSON integers is looked up, so p = 7.0 or a modulus
+    (1.0, 0, 1) never finds the field built from 7 or (1, 0, 1), and
+    ``Field`` refuses it as before.
     """
     mod = None if modulus is None else tuple(modulus)
     key = (p, m, mod)

@@ -257,17 +257,24 @@ def test_primitive_modulus_makes_t_the_generator_untested(monkeypatch):
 
 
 def test_primitive_modulus_is_not_proven_irreducible_again(monkeypatch):
-    # the search proved its modulus irreducible; an explicit modulus that is
-    # not the recorded one is still tested
+    # the searches proved their moduli irreducible.  F_{3^4}'s canonical and
+    # primitive moduli differ, and a description of either, read back with
+    # the table of fields forgotten, builds a new Field that finds its
+    # modulus in the record; an explicit modulus not recorded is still tested
     from curveclass import gf
 
-    mod = primitive_modulus(3, 4)
+    fields = [field_create(3, 4), field_create(3, 4, primitive_modulus(3, 4))]
+    assert fields[0].modulus != fields[1].modulus
 
     def no_test(*args):
         raise AssertionError("modulus tested again")
 
+    monkeypatch.setattr(gf, "_FIELDS", {})
     monkeypatch.setattr(gf, "_fp_is_irreducible", no_test)
-    assert Field(3, 4, mod).modulus == mod
+    monkeypatch.setattr(gf._FpRing, "has_small_factor", no_test)
+    for k in fields:
+        back = field_from_json(field_to_json(k))
+        assert back == k and back is not k
     monkeypatch.undo()
     # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) over F_3
     with pytest.raises(ReducibleModulus):
@@ -286,26 +293,6 @@ def test_canonical_modulus_is_searched_once(monkeypatch):
     monkeypatch.setattr(gf, "_fp_is_irreducible", no_test)
     monkeypatch.setattr(gf, "_monic_candidates", no_test)
     assert Field(2, 4).modulus == first
-
-
-def test_searched_modulus_read_back_is_not_proven_again(monkeypatch):
-    # F_{3^4}'s canonical and primitive moduli differ; a description of
-    # either, read back with the table of fields forgotten, builds a new
-    # Field that finds its modulus in the record
-    from curveclass import gf
-
-    fields = [field_create(3, 4), field_create(3, 4, primitive_modulus(3, 4))]
-    assert fields[0].modulus != fields[1].modulus
-
-    def no_test(*args):
-        raise AssertionError("modulus proven again")
-
-    monkeypatch.setattr(gf, "_FIELDS", {})
-    monkeypatch.setattr(gf, "_fp_is_irreducible", no_test)
-    monkeypatch.setattr(gf._FpRing, "has_small_factor", no_test)
-    for k in fields:
-        back = field_from_json(field_to_json(k))
-        assert back == k and back is not k
 
 
 def test_field_create_builds_each_description_once():
@@ -340,7 +327,8 @@ def test_description_read_again_builds_nothing(monkeypatch):
         assert field_from_json(field_to_json(k)) is k
 
 
-# field_create arguments, and the exception class and message they raise
+# field_create arguments, and the exception class and message they raise;
+# a bool degree is refused like a bool p, since JSON writes true, not 1
 MALFORMED = [
     ((7.0, 1), NonPrimeCharacteristic, "p = 7.0 is not prime"),
     ((True, 1), NonPrimeCharacteristic, "p = True is not prime"),
@@ -364,41 +352,6 @@ def test_malformed_descriptions_are_refused_after_their_field_is_built():
             with pytest.raises(cls) as exc:
                 field_create(*args)
             assert type(exc.value) is cls and str(exc.value) == message, args
-
-
-def test_field_refuses_a_bool_degree():
-    # True == 1, but JSON writes it as true, not as an integer
-    for m in (True, False):
-        with pytest.raises(CurveClassError, match=f"m = {m} must be a positive integer"):
-            Field(7, m)
-
-
-def test_explicit_modulus_over_a_61_bit_prime():
-    # lanes wider than 8 bytes: x^2 + 1 is irreducible since p = 3 mod 4,
-    # and x^2 - 1 = (x - 1)(x + 1)
-    p = 2**61 - 1
-    assert Field(p, 2, (1, 0, 1)).modulus == (1, 0, 1)
-    with pytest.raises(ReducibleModulus):
-        Field(p, 2, (p - 1, 0, 1))
-
-
-def test_walk_from_t_checks_its_order(monkeypatch):
-    # t = i has order 4 in F_9 = F_3[t]/(t^2 + 1); recorded as primitive,
-    # its walk returns to 1 at step 4 and the table build refuses it
-    from curveclass import gf
-
-    monkeypatch.setitem(gf._PROVEN_MODULI, (3, 2, True), (1, 0, 1))
-    with pytest.raises(CurveClassError, match="first return to 1"):
-        Field(3, 2, (1, 0, 1))
-
-
-def test_coset_walk_checks_its_generator(monkeypatch):
-    # t = i has order 4 in F_9 = F_3[t]/(t^2 + 1), so c = 2; a forged g = -1
-    # has g^2 = 1 = t^0, and 0 has no inverse mod 4: an internal error, not
-    # a ValueError
-    monkeypatch.setattr(Field, "_primitive_element", lambda self: 2)
-    with pytest.raises(CurveClassError, match="internal: g\\^c"):
-        Field(3, 2)
 
 
 def test_necklace_count_checks_its_sum(monkeypatch):
