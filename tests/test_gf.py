@@ -354,6 +354,34 @@ def test_malformed_descriptions_are_refused_after_their_field_is_built():
             assert type(exc.value) is cls and str(exc.value) == message, args
 
 
+def test_explicit_modulus_over_a_61_bit_prime():
+    # lanes wider than 8 bytes: x^2 + 1 is irreducible since p = 3 mod 4,
+    # and x^2 - 1 = (x - 1)(x + 1)
+    p = 2**61 - 1
+    assert Field(p, 2, (1, 0, 1)).modulus == (1, 0, 1)
+    with pytest.raises(ReducibleModulus):
+        Field(p, 2, (p - 1, 0, 1))
+
+
+def test_walk_from_t_checks_its_order(monkeypatch):
+    # t = i has order 4 in F_9 = F_3[t]/(t^2 + 1); recorded as primitive,
+    # its walk returns to 1 at step 4 and the table build refuses it
+    from curveclass import gf
+
+    monkeypatch.setitem(gf._PROVEN_MODULI, (3, 2, True), (1, 0, 1))
+    with pytest.raises(CurveClassError, match="first return to 1"):
+        Field(3, 2, (1, 0, 1))
+
+
+def test_coset_walk_checks_its_generator(monkeypatch):
+    # t = i has order 4 in F_9 = F_3[t]/(t^2 + 1), so c = 2; a forged g = -1
+    # has g^2 = 1 = t^0, and 0 has no inverse mod 4: an internal error, not
+    # a ValueError
+    monkeypatch.setattr(Field, "_primitive_element", lambda self: 2)
+    with pytest.raises(CurveClassError, match="internal: g\\^c"):
+        Field(3, 2)
+
+
 def test_necklace_count_checks_its_sum(monkeypatch):
     # with mobius 0 past 1 the sum is q^d alone, and 2^3 = 8 is not a
     # multiple of 3
