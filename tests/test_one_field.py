@@ -12,29 +12,23 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "curveclass"
 
 
 def _calls(name: str) -> list[tuple[str, str]]:
-    """(file, enclosing function) of every call of ``name`` under src/curveclass."""
+    """(file, innermost enclosing function) of every call of ``name`` under
+    src/curveclass."""
     found = []
     sources = sorted(SRC.glob("*.py"))
     assert sources, f"no sources under {SRC}"
     for path in sources:
-        stack = ["<module>"]
-
-        class Visitor(ast.NodeVisitor):
-            def visit_FunctionDef(self, node):
-                stack.append(node.name)
-                self.generic_visit(node)
-                stack.pop()
-
-            visit_AsyncFunctionDef = visit_FunctionDef
-
-            def visit_Call(self, node):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk goes outer before inner, so an inner function's name wins
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 if called == name:
-                    found.append((path.name, stack[-1]))
-                self.generic_visit(node)
-
-        Visitor().visit(ast.parse(path.read_text(), filename=str(path)))
+                    found.append((path.name, owner.get(id(node), "<module>")))
     return found
 
 
