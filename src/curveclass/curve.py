@@ -15,18 +15,19 @@ places add 2 * deg h to the total, and at x = infinity the function
 u = f/h^2 is reduced by substitutions u -> u + w^2 + w until its pole
 order is odd (ramified) or the pole is gone (unramified).
 
-Point counts over F_q run in F_q itself; over F_{q^n}, n > 1, they run in
-F_{q^n} built over its primitive modulus, with the coefficients of f and h
-embedded.  f and h are defined over F_q, so a count is constant on the
-orbits of x -> x^q, and ``affine_count`` evaluates them once per orbit on
-that field's exp/log tables.  The tables and the orbit table
-(``Extension.orbits``) are built by the first count and cached with the
-field.
+Point counts over F_{q^n} run in ``field.extension(n)``, the base field's
+one Extension of degree n: F_q itself for n = 1, else F_{q^n} over its
+primitive modulus, with the coefficients of f and h embedded.  f and h are
+defined over F_q, so a count is constant on the orbits of x -> x^q, and
+``affine_count`` evaluates them once per orbit on that field's exp/log
+tables.  The tables and the orbit table (``Extension.orbits``) are built
+by the first count and kept with the extension, which the base field
+keeps.
 
-Closed points of degree d use the same cached F_{q^d} as their residue
-fields, with x at a root of pi.  The monic irreducibles pi of degree d
-(``irreducibles``) are the keys of that field's root table, one per
-Frobenius orbit of length d in the same orbit table.  The square test is
+Closed points of degree d use the same F_{q^d}, ``field.extension(d)``, as
+their residue fields, with x at a root of pi.  The monic irreducibles pi of
+degree d (``irreducibles``) are the keys of that field's root table, one
+per Frobenius orbit of length d in the same orbit table.  The square test is
 the parity of a log, and the square root is a table lookup.  In
 characteristic 2 the split test is the trace, and the y-values come from
 solving z^2 + z = u.  A residue returns to F_q[x]/(pi) by interpolating at
@@ -49,7 +50,6 @@ from .errors import (
     UnsupportedModel,
 )
 from .gf import (
-    Extension,
     Field,
     Poly,
     field_create,
@@ -57,7 +57,6 @@ from .gf import (
     mobius,
     poly_factor,
     poly_gcd,
-    primitive_modulus,
     squarefree,
     x_poly,
 )
@@ -225,16 +224,9 @@ def _validate_odd(model: DoubleCover) -> Curve:
     if not squarefree(f):
         raise SingularModel("f has a repeated root")
     genus = (f.degree - 1) // 2
-    if f.degree % 2 == 1:
-        inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),)
-    elif field.is_square_idx(f.leading()):
-        inf = (
-            ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),
-            ClosedPoint(id="d1#inf1", degree=1, kind="infinity"),
-        )
-    else:
-        inf = (ClosedPoint(id="d2#inf0", degree=2, kind="infinity"),)
-    return Curve(model, genus, inf)
+    ramified = f.degree % 2 == 1
+    split = not ramified and field.is_square_idx(f.leading())
+    return Curve(model, genus, _places_at_infinity(ramified, split))
 
 
 def _validate_char2(model: DoubleCover) -> Curve:
@@ -265,16 +257,18 @@ def _validate_char2(model: DoubleCover) -> Curve:
             " field extension"
         )
     genus = ram_total // 2 - 1
-    if m_inf:
-        inf = (ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),)
-    elif field.trace_to_prime_idx(val_idx) == 0:
-        inf = (
-            ClosedPoint(id="d1#inf0", degree=1, kind="infinity"),
-            ClosedPoint(id="d1#inf1", degree=1, kind="infinity"),
-        )
-    else:
-        inf = (ClosedPoint(id="d2#inf0", degree=2, kind="infinity"),)
-    return Curve(model, genus, inf)
+    ramified = m_inf > 0
+    split = not ramified and field.trace_to_prime_idx(val_idx) == 0
+    return Curve(model, genus, _places_at_infinity(ramified, split))
+
+
+def _places_at_infinity(ramified: bool, split: bool) -> tuple[ClosedPoint, ...]:
+    """The places of a double cover above x = infinity: one of degree 1 when
+    ramified, two of degree 1 when split, and one of degree 2 when inert."""
+    count, degree = (1, 1) if ramified else (2, 1) if split else (1, 2)
+    return tuple(
+        ClosedPoint(id=f"d{degree}#inf{i}", degree=degree, kind="infinity") for i in range(count)
+    )
 
 
 def _check_smooth_char2(f: Poly, h: Poly) -> None:
@@ -326,27 +320,6 @@ def _infinity_normalize(num: Poly, den: Poly) -> tuple[int, int]:
 # point counts over extensions
 
 
-_EXT_CACHE: dict = {}
-
-
-def _extension(field: Field, n: int) -> Extension:
-    """F_{q^n} with its exp/log tables and the embedding of F_q, cached.
-
-    For n > 1 the extension is built over its primitive modulus, so t
-    generates and the tables come from the index table of x -> t*x
-    (``Field.tables``); a count does not depend on which model of F_{q^n}
-    it runs in.  The same object serves as the residue field F_q[x]/(pi)
-    of every monic irreducible pi of degree n.
-    """
-    key = (field.p, field.modulus, n)
-    ext = _EXT_CACHE.get(key)
-    if ext is None:
-        deg = field.m * n
-        big = field if n == 1 else field_create(field.p, deg, primitive_modulus(field.p, deg))
-        ext = _EXT_CACHE[key] = Extension(field, n, big)
-    return ext
-
-
 def irreducibles(field: Field, d: int, budget: int | None = None) -> list[Poly]:
     """All monic irreducibles of degree d over F_q, in lexicographic order.
 
@@ -358,17 +331,18 @@ def irreducibles(field: Field, d: int, budget: int | None = None) -> list[Poly]:
     if d < 1:
         raise CurveClassError("degree must be >= 1")
     check_budget(field.q, d, budget)
-    return [Poly(field, k) for k in sorted(_extension(field, d).roots())]
+    return [Poly(field, k) for k in sorted(field.extension(d).roots())]
 
 
 def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     """Number of points of the smooth projective model over F_{q^n}.
 
     The affine part is counted by ``affine_count`` on the exp/log tables of
-    F_{q^n}, one Horner evaluation per orbit of x -> x^q, over a block of
-    orbits at a time.  The tables and the orbit arrays are built here on
-    the first count over each extension and kept with it; ``check_budget``
-    bounds their size.  They take 16 bytes per element for exp, log and
+    F_{q^n}, the field's ``extension(n)``, one Horner evaluation per orbit
+    of x -> x^q, over a block of orbits at a time.  The tables and the orbit
+    arrays are built here on the first count over each extension and kept
+    with it, and the extension with its base field; ``check_budget`` bounds
+    their size.  They take 16 bytes per element for exp, log and
     Zech, 20 more for the count's tiled Zech table (``Field.count_tables``),
     3 more in characteristic 2 for its table of traces, and 5 bytes per
     orbit.  While it runs, the build briefly holds one more list with an
@@ -383,7 +357,7 @@ def count_points(curve: Curve, n: int, budget: int | None = None) -> int:
     inf = sum(pt.degree for pt in curve.infinity if n % pt.degree == 0)
     if isinstance(curve.model, ProjectiveLine):
         return field.q**n + 1
-    ext = _extension(field, n)
+    ext = field.extension(n)
     f = [ext.emb(c) for c in curve.model.f.coeffs]
     h = [ext.emb(c) for c in curve.model.h.coeffs]
     return affine_count(ext.big.p, ext.big.m, ext.big, f, h, ext.orbits()) + inf
@@ -452,7 +426,7 @@ def closed_points(
             finite[dpi].extend(("plain", pi, None) for pi in pis)
             continue
         # the residue field at pi is F_{q^dpi}, with x at a root alpha of pi
-        ext = _extension(field, dpi)
+        ext = field.extension(dpi)
         big = ext.big
         for pi in pis:
             alpha = ext.root(pi)

@@ -7,10 +7,12 @@ Conventions used throughout the package:
   supplied the canonical one is chosen: the monic irreducible of degree m
   whose coefficient tuple (c_0, ..., c_{m-1}) is smallest in lexicographic
   order (compared componentwise, low degree first).  One search finds it
-  and the primitive modulus of curve.py's extensions alike, once per (p, m)
+  and the primitive modulus of the extension fields alike, once per (p, m)
   in a process, into one record of proven moduli that Field does not
   test again.  field_create is the way to a field: it builds each
-  description once in a process and returns that one object after.
+  description once in a process and returns that one object after.  For
+  m = 1 every modulus x + c describes F_p with the same indices, so an
+  explicit one is checked and stored as x.
 * A field element is a plain int, its index 0..q-1, sum(c_i * p^i) over its
   digits; the index doubles as the canonical element order.  There is no
   element type: arithmetic goes through Field.add_idx, mul_idx, inv_idx,
@@ -33,9 +35,13 @@ Conventions used throughout the package:
   taken digit by digit.
 * det_rank is the one Gaussian elimination over a field, for Hasse–Witt and
   for the G-module harness over F_p.
-* Residue fields F_q[x]/(pi) are not a type of their own.  An Extension is
-  F_{q^n} on its tables plus the embedding of F_q, and it stands in for
-  F_q[x]/(pi) for every monic irreducible pi of degree n: x goes to a root
+* Residue fields F_q[x]/(pi) are not a type of their own, and each
+  extension lives on its base field: Field.extension(n) is the field's one
+  Extension of degree n, built on first use and kept in the field.  It is
+  F_{q^n} on its tables, over the primitive modulus of F_{p^(mn)} from
+  field_create (so F_{p^k} reached from two base fields is one object),
+  plus the embedding of F_q, and it stands in for F_q[x]/(pi) for every
+  monic irreducible pi of degree n: x goes to a root
   of pi, taken from a table built on the Frobenius orbits on logs.  The
   keys of that table are all the monic irreducibles of degree n, so no
   separate search for irreducible polynomials exists.  The same orbit
@@ -90,12 +96,6 @@ class _NegInf:
 
     def __ge__(self, other):
         return other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("curveclass-neg-inf")
 
     def __repr__(self):
         return "-inf"
@@ -152,20 +152,12 @@ def prime_factors(n: int) -> list[int]:
 
 
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1 if d == 2 else 2
-    if n > 1:
-        result = -result
-    return result
+    """The Moebius function: 0 when a square r^2 > 1 divides n, else (-1)^k
+    for the k distinct primes of n."""
+    primes = prime_factors(n)
+    if any(n % (r * r) == 0 for r in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 def necklace_count(q: int, d: int) -> int:
@@ -394,7 +386,8 @@ class Field:
     they are built; before, on plain ints mod p when m = 1 and on the
     packed ring F_p[t]/(modulus) when m > 1."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_ring", "_pw", "_exp", "_log", "_zech", "_mask", "_tiles")
+    __slots__ = ("p", "m", "q", "modulus", "_ring", "_pw", "_exp", "_log", "_zech", "_mask", "_tiles",
+                 "_extensions")
 
     def __init__(self, p: int, m: int, modulus: Iterable[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -413,6 +406,9 @@ class Field:
             mod = tuple(c % p for c in mod)
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise ReducibleModulus(f"modulus must be monic of degree {m}")
+            if m == 1:
+                # F_p[t]/(t + c) is F_p with the same indices for every c
+                mod = (0, 1)
             # a modulus that a search returned is proven irreducible
             proven = mod in (_PROVEN_MODULI.get((p, m, False)), _PROVEN_MODULI.get((p, m, True)))
             if not proven and not _fp_is_irreducible(list(mod), p):
@@ -422,8 +418,17 @@ class Field:
         # the untabled product for m > 1; a prime field multiplies ints mod p
         self._ring = _FpRing(list(mod), p) if m > 1 else None
         self._exp = self._log = self._zech = self._mask = self._tiles = None
+        self._extensions = {}  # n -> the one Extension of degree n
         if self.q <= _TABLE_LIMIT:
             self.tables()
+
+    def extension(self, n: int) -> "Extension":
+        """F_{q^n} over this field, with the embedding of F_q: one Extension
+        per degree n, built on first use and kept with the field."""
+        ext = self._extensions.get(n)
+        if ext is None:
+            ext = self._extensions[n] = Extension(self, n)
+        return ext
 
     # -- index/digit plumbing ------------------------------------------------
 
@@ -1107,7 +1112,14 @@ def monic_polys(field: Field, d: int) -> Iterator[Poly]:
 
 class Extension:
     """F_{q^n} over the base field F_q, as a tabulated Field ``big`` plus the
-    embedding of F_q element indices.
+    embedding of F_q element indices.  It is an attribute of its base field:
+    ``Field.extension(n)`` builds it once and keeps it.
+
+    ``big`` is the base field itself for n = 1.  For n > 1 it is
+    F_{p^(mn)} over its primitive modulus, from ``field_create``, so t
+    generates and the tables walk x -> t*x; a count does not depend on
+    which model of F_{q^n} it runs in, and F_{2^8} over F_4 and over F_16
+    is one field.
 
     ``orbits`` is its one table of the orbits of Frobenius x -> x^q on
     logs, two compact arrays built on first use.  Point counts weight one
@@ -1123,7 +1135,9 @@ class Extension:
 
     __slots__ = ("base", "n", "big", "_rho", "_emb", "_unemb", "_orbits", "_roots")
 
-    def __init__(self, base: Field, n: int, big: Field):
+    def __init__(self, base: Field, n: int):
+        deg = base.m * n
+        big = base if n == 1 else field_create(base.p, deg, primitive_modulus(base.p, deg))
         self.base, self.n, self.big = base, n, big
         big.tables()
         self._emb = {}  # base index -> its image, filled as emb is asked

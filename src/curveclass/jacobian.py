@@ -11,8 +11,8 @@ prime l | N = #Pic^0, the map x -> l*x is tabulated over the enumerated set
 is counted by walking that table, with no further compositions.
 
 The v come from square roots of f modulo each prime power pi^e dividing u:
-the root mod pi is a table lookup in the cached F_{q^d}, d = deg pi, and
-Hensel steps lift it with Poly arithmetic.
+the root mod pi is a table lookup in F_{q^d} = field.extension(d),
+d = deg pi, and Hensel steps lift it with Poly arithmetic.
 
 ``classify`` enumerates the whole group only when the zeta layer hit the
 budget (h unknown); the ``oracle`` subcommand, ``scripts/`` and the tests
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 
-from .curve import Curve, DoubleCover, ProjectiveLine, _extension
+from .curve import Curve, DoubleCover, ProjectiveLine
 from .errors import BudgetExceeded, CurveClassError, OracleUnsupportedModel
 from .gf import Poly, monic_polys, poly_extgcd, poly_factor, prime_factors
 from .record import FrozenRecord
@@ -78,7 +78,7 @@ def _sqrt_mod_prime_power(f: Poly, pi: Poly, e: int) -> list[Poly]:
     """All v mod pi^e with v^2 = f; f squarefree, pi irreducible."""
     field = f.field
     # residues mod pi live in F_{q^d} at a root alpha of pi; q^d <= q^g is small
-    ext = _extension(field, pi.degree)
+    ext = field.extension(pi.degree)
     big = ext.big
     alpha = ext.root(pi)
     r = big.sqrt_idx(ext.evaluate(f, alpha))

@@ -19,7 +19,7 @@ from curveclass import (
     necklace_count,
     validate,
 )
-from curveclass.gf import Poly, field_create
+from curveclass.gf import Field, Poly, field_create
 from test_golden import VALIDATE
 from util import E_Z4_F3, G2_X5PX, build, curve_json
 
@@ -190,6 +190,14 @@ def test_char2_infinity_split_vs_inert():
 # ---------------------------------------------------------------------------
 # rational point counts
 
+def test_infinity_reduction_checks_its_square_root(monkeypatch):
+    # y^2 + x*y = x^4 + 1 over F_2: u = f/h^2 has a pole of even order 2 at
+    # infinity, so reducing it takes a square root, here refused
+    monkeypatch.setattr(Field, "sqrt_idx", lambda self, a: None)
+    with pytest.raises(CurveClassError, match="internal: squaring is not onto"):
+        build(2, f=[1, 0, 0, 0, 1], h=[0, 1])
+
+
 def test_count_projective_line():
     c = build(3)
     for n in range(1, 5):
@@ -278,13 +286,13 @@ def test_closed_points_budget_checked_first(monkeypatch):
     # built, by the enumeration or by the count
     c = build(3, f=E_Z4_F3)
     calls = []
-    real = curve_mod._extension
+    real = Field.extension
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(self, n):
+        calls.append(n)
+        return real(self, n)
 
-    monkeypatch.setattr(curve_mod, "_extension", counting)
+    monkeypatch.setattr(Field, "extension", counting)
     for enumerate_or_count in (closed_points, closed_point_counts):
         with pytest.raises(BudgetExceeded, match=r"q\^d = 1594323 exceeds budget 1000000"):
             enumerate_or_count(c, 10**6)

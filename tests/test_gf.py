@@ -18,9 +18,10 @@ from curveclass import (
     poly_factor,
     poly_gcd,
 )
-from curveclass.curve import _extension, field_from_json, field_to_json
+from curveclass.curve import field_from_json, field_to_json
 from curveclass.errors import NonPrimeCharacteristic
 from curveclass.gf import (
+    NEG_INF,
     Extension,
     Field,
     _fp_is_irreducible,
@@ -304,8 +305,20 @@ def test_field_create_builds_each_description_once():
         assert field_create(p, m, list(k.modulus)) is k
         assert field_create(p, m, (c + p for c in k.modulus)) is k
         assert Field(p, m) == k and Field(p, m) is not k
+        # and each extension of a field is built once, on the field
+        assert k.extension(2) is k.extension(2) and k.extension(1).big is k
     # F_{2^8} reached from F_4 (n = 4) and from F_16 (n = 2) is one field
-    assert _extension(field_create(2, 2), 4).big is _extension(field_create(2, 4), 2).big
+    assert field_create(2, 2).extension(4).big is field_create(2, 4).extension(2).big
+
+
+def test_prime_field_has_one_description():
+    # F_7[t]/(t + c) is F_7 with the same indices for every c, so each
+    # modulus x + c gives the one F_7, which survives its own round trip
+    assert Field(7, 1, (5, 1)).modulus == (0, 1)
+    k = field_from_json({"p": 7, "m": 1, "modulus": [5, 1]})
+    assert k is field_create(7, 1)
+    assert field_from_json(field_to_json(k)) is k
+    assert all(field_create(7, 1, (c, 1)) is k for c in range(-7, 14))
 
 
 def test_description_read_again_builds_nothing(monkeypatch):
@@ -339,6 +352,9 @@ MALFORMED = [
     ((3, 2, [[1], 0, 1]), CurveClassError, "modulus [[1], 0, 1] must be a list of integers"),
     ((3, 2, (True, 0, 1)), CurveClassError, "modulus [True, 0, 1] must be a list of integers"),
     ((3, 2, (2, 0, 1)), ReducibleModulus, "modulus [2, 0, 1] is reducible over F_3"),
+    ((7, 1, (5, 2)), ReducibleModulus, "modulus must be monic of degree 1"),
+    ((7, 1, (1, 0, 1)), ReducibleModulus, "modulus must be monic of degree 1"),
+    ((7, 1, (5.0, 1)), CurveClassError, "modulus [5.0, 1] must be a list of integers"),
 ]
 
 
@@ -397,10 +413,40 @@ def test_root_table_checks_its_size(monkeypatch):
     # says 3 makes the table of roots refuse itself
     from curveclass import gf
 
-    ext = Extension(field_create(2, 1), 3, field_create(2, 3, primitive_modulus(2, 3)))
+    ext = Extension(field_create(2, 1), 3)
     monkeypatch.setattr(gf, "necklace_count", lambda q, d: 3)
     with pytest.raises(CurveClassError, match="internal: root table does not match"):
         ext.roots()
+
+
+def test_extension_checks_that_the_base_modulus_splits(monkeypatch):
+    # a Horner evaluation that never gives 0 finds no root of the modulus
+    # of F_4 among the elements of its subfield in F_16
+    monkeypatch.setattr(Extension, "_horner", lambda self, coeffs, alpha: 1)
+    with pytest.raises(CurveClassError, match="internal: base modulus must split"):
+        Extension(field_create(2, 2), 2)
+
+
+def test_extension_checks_what_returns_to_the_base_field(monkeypatch):
+    # with every index of F_16 outside the image of F_4, a minimal
+    # polynomial and a residue's trace both seem to leave F_4
+    ext = Extension(field_create(2, 2), 2)
+    pi = Poly(ext.base, min(ext.roots()))
+    alpha = ext.root(pi)
+    monkeypatch.setattr(Extension, "_base_index", lambda self, idx: -1)
+    with pytest.raises(CurveClassError, match="internal: trace left the base field"):
+        ext.residue(alpha, alpha, pi)
+    with pytest.raises(CurveClassError, match="internal: minimal polynomial left the base field"):
+        Extension(field_create(2, 2), 2).roots()
+
+
+def test_artin_schreier_checks_its_solution(monkeypatch):
+    # a trace mask of 0 calls every u traceless, and the z it builds is 0;
+    # 1 has trace 1 in F_8, so z^2 + z = 1 has no solution at all
+    ext = Extension(field_create(2, 1), 3)
+    monkeypatch.setattr(Field, "trace_mask", lambda self: 0)
+    with pytest.raises(CurveClassError, match="internal: Artin-Schreier solution fails"):
+        ext.artin_schreier(1)
 
 
 def test_extension_rho_is_least_linear_factor_root():
@@ -409,8 +455,8 @@ def test_extension_rho_is_least_linear_factor_root():
     for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (5, 3)]:
         base = field_create(p, m)
         for n in (2, 3):
-            big = Field(p, m * n, primitive_modulus(p, m * n))
-            ext = Extension(base, n, big)
+            ext = Extension(base, n)
+            big = ext.big
             roots = [big.neg_idx(fac.coeffs[0])
                      for fac, _ in poly_factor(Poly(big, base.modulus)) if fac.degree == 1]
             assert len(roots) == m
@@ -420,7 +466,7 @@ def test_extension_rho_is_least_linear_factor_root():
 def test_emb_keeps_each_image():
     # the second pass reads the images the first one kept
     for (p, m), n in [((2, 4), 3), ((3, 2), 2), ((2, 2), 5)]:
-        ext = _extension(field_create(p, m), n)
+        ext = field_create(p, m).extension(n)
         for _ in range(2):
             for c in range(ext.base.q):
                 assert ext.emb(c) == ext._horner(ext.base.digits(c), ext._rho), (p, m, n, c)
@@ -727,7 +773,7 @@ def _check_residue_field(p, m, pi):
     k = field_create(p, m)
     pi = Poly(k, pi)
     d = pi.degree
-    ext = _extension(k, d)
+    ext = k.extension(d)
     big = ext.big
     alpha = ext.root(pi)
     res = _residues(k, d)
@@ -752,7 +798,7 @@ def _check_residue_field(p, m, pi):
 
 def test_residue_field_rejects_reducible():
     k = field_create(3, 1)
-    ext = _extension(k, 2)
+    ext = k.extension(2)
     for bad in ([2, 0, 1],   # x^2+2 = x^2-1 factors
                 [2, 0, 2],   # 2(x^2+1): irreducible but not monic
                 [1, 1]):     # degree 1, not 2
@@ -764,7 +810,7 @@ def test_root_table_holds_every_irreducible():
     # the root table against an irreducibility test on every monic polynomial
     for p, m, d in [(2, 1, 1), (2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]:
         k = field_create(p, m)
-        ext = _extension(k, d)
+        ext = k.extension(d)
         pis = irreducibles(k, d)
         assert pis == [pi for pi in monic_polys(k, d) if is_irreducible_by_division(pi)]
         for pi in pis:
@@ -777,7 +823,7 @@ def test_orbit_table_against_brute_force():
     for p, m, n in [(2, 1, 1), (5, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 4), (5, 1, 3),
                     (7, 1, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2), (2, 3, 2)]:
         k = field_create(p, m)
-        ext = _extension(k, n)
+        ext = k.extension(n)
         big = ext.big
         log = big.tables()[1]
 
@@ -803,7 +849,7 @@ def test_orbit_table_against_brute_force():
 def test_artin_schreier_solve():
     k = field_create(2, 1)
     pi = Poly(k, [1, 1, 0, 1])  # x^3+x+1
-    ext = _extension(k, 3)
+    ext = k.extension(3)
     big = ext.big
     alpha = ext.root(pi)
     for r in _residues(k, 3):
@@ -820,7 +866,7 @@ def test_artin_schreier_solve():
 def test_artin_schreier_every_element():
     # even absolute degree too, where the half-trace formula does not apply
     for m, d in [(1, 1), (1, 2), (2, 2), (1, 5), (2, 3), (3, 2)]:
-        ext = _extension(field_create(2, m), d)
+        ext = field_create(2, m).extension(d)
         big = ext.big
         solved = 0
         for u in range(big.q):
@@ -889,7 +935,26 @@ def test_is_prime_miller_rabin():
 def test_number_theory_helpers():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    # mu by its defining sums: mu(1) = 1, and mu over the divisors of n > 1
+    # sums to 0, so mu(n) is minus the sum over the proper divisors
+    top = 10**4
+    mu = [0, 1] + [0] * (top - 1)
+    for d in range(1, top + 1):
+        for n in range(2 * d, top + 1, d):
+            mu[n] -= mu[d]
+    assert [mobius(n) for n in range(1, top + 1)] == mu[1:]
     assert necklace_count(2, 1) == 2
     assert necklace_count(2, 2) == 1
     assert necklace_count(2, 3) == 2
     assert necklace_count(2, 4) == 3
+
+
+def test_neg_inf_is_below_every_integer():
+    # the degree of the zero polynomial, through every comparison
+    for n in (0, 1, -5):
+        assert NEG_INF < n and NEG_INF <= n and not NEG_INF > n and not NEG_INF >= n
+        assert n > NEG_INF and n >= NEG_INF and not n < NEG_INF and not n <= NEG_INF
+        assert not NEG_INF == n and NEG_INF != n
+    assert NEG_INF == NEG_INF and NEG_INF <= NEG_INF and NEG_INF >= NEG_INF
+    assert not NEG_INF < NEG_INF and not NEG_INF > NEG_INF
+    assert Poly(field_create(3, 1)).degree is NEG_INF

@@ -8,7 +8,7 @@ import pytest
 
 from curveclass import counting
 from curveclass.counting import BLOCK, affine_count, backend_name
-from curveclass.curve import _extension, irreducibles
+from curveclass.curve import irreducibles
 from curveclass.gf import Poly, field_create
 from util import mul_digits
 
@@ -146,7 +146,7 @@ def test_orbit_weights_match_plain_walk_seeded(p, m):
     rng = random.Random(610 + 10 * p + m)
     k = field_create(p, m)
     for n in range(2, 6):
-        ext = _extension(k, n)
+        ext = k.extension(n)
         big = ext.big
         for shape in range(3):
             f = [ext.emb(c) for c in _subfield_poly(rng, k, n, shape)]
@@ -170,7 +170,7 @@ def test_runs_of_zero_coefficients_seeded():
     # the same shapes over F_q counted in F_{q^n}, orbits against the plain walk
     for p, m, n in [(2, 1, 5), (2, 2, 3), (3, 1, 4), (5, 1, 3)]:
         k = field_create(p, m)
-        ext = _extension(k, n)
+        ext = k.extension(n)
         big = ext.big
         for _ in range(6):
             fc = [rng.randrange(k.q) if rng.random() < 0.3 else 0 for _ in range(rng.randrange(1, 10))]
@@ -248,7 +248,7 @@ def test_orbit_counts_past_the_block_size():
     for size in (k.q - 1, BLOCK + 1):
         got = affine_count(3, 8, k, fc, [], (range(size), [1] * size))
         assert got == scalar_count(k, fc, [], [0, *exp[:size]]), size
-    ext = _extension(field_create(3, 1), 10)
+    ext = field_create(3, 1).extension(10)
     big = ext.big
     assert len(ext.orbits()[0]) == 5933
     fb = [1, 2, 0, 0, 1, 0, 2, 1]
@@ -266,7 +266,7 @@ def test_count_memory_is_one_block():
     # with the tables built, a walk over all of F_{3^10} (59048 elements)
     # holds one block of values at a time: 0.85 MB at the peak, measured,
     # against 9.9 MB with the whole walk in one block
-    k = _extension(field_create(3, 1), 10).big
+    k = field_create(3, 1).extension(10).big
     rng = random.Random(620)
     fc = [rng.randrange(k.q) for _ in range(10)]
     walk = plain_walk(k)

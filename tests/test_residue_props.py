@@ -21,7 +21,6 @@ from curveclass import (
     irreducibles,
     necklace_count,
 )
-from curveclass.curve import _extension
 from curveclass.gf import monic_polys, squarefree
 from curveclass.jacobian import _sqrt_mod
 from util import build
@@ -78,7 +77,7 @@ def test_split_points_solve_the_equation(data):
     for n in range(1, max_degree + 1):
         assert census(pts, n) == count_points(curve, n)
     for d in range(1, max_degree + 1):
-        assert len(_extension(curve.field, d).roots()) == necklace_count(curve.field.q, d)
+        assert len(curve.field.extension(d).roots()) == necklace_count(curve.field.q, d)
 
 
 @SETTINGS
