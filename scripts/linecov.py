@@ -12,7 +12,7 @@ file names it in ``co_lines()``.  Code run in child processes, such as the
 CLI tests' subprocesses, is not seen.  The exit code is pytest's.
 
 It is not part of tier-1: the tracer makes the suite several times slower
-(about 200 s on 2 vCPU, against 35 s without).  Standard library only,
+(about 240 s on 2 vCPU, against about 40 s without).  Standard library only,
 apart from pytest, which runs the suite.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,12 +29,11 @@ SRC = ROOT / "src" / "curveclass"
 
 def executable_lines(path: Path) -> set[int]:
     """The line numbers named by the bytecode of every code object of path."""
-    code_type = type(executable_lines.__code__)
     todo, lines = [compile(path.read_text(), str(path), "exec")], set()
     while todo:
         code = todo.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
-        todo.extend(c for c in code.co_consts if isinstance(c, code_type))
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
 
 

@@ -305,8 +305,10 @@ def test_field_create_builds_each_description_once():
         assert field_create(p, m, list(k.modulus)) is k
         assert field_create(p, m, (c + p for c in k.modulus)) is k
         assert Field(p, m) == k and Field(p, m) is not k
-        # and each extension of a field is built once, on the field
+        # and each extension of a field is built once, on the field, over
+        # the primitive modulus
         assert k.extension(2) is k.extension(2) and k.extension(1).big is k
+        assert k.extension(2).big.modulus == primitive_modulus(p, 2 * m)
     # F_{2^8} reached from F_4 (n = 4) and from F_16 (n = 2) is one field
     assert field_create(2, 2).extension(4).big is field_create(2, 4).extension(2).big
 

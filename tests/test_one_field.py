@@ -48,10 +48,10 @@ def test_one_record_of_proven_moduli():
     memos = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
-                if not node.value.keys:
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    memos.update((path.name, target.id) for target in targets)
+            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict)
+                    and not node.value.keys):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                memos.update((path.name, target.id) for target in targets)
     assert memos == {("gf.py", "_PROVEN_MODULI"), ("gf.py", "_FIELDS")}
     tree = ast.parse((SRC / "gf.py").read_text())
     names = {getattr(node, "name", None) or getattr(node, "id", None) for node in ast.walk(tree)}
