@@ -67,7 +67,6 @@ from .gf import (
     Poly,
     field_create,
     necklace_count,
-    poly_factor,
     poly_gcd,
 )
 from .ihara import IharaResult, QSqrtValue, degree_term, ihara_sum, ihara_sum_exceeds
@@ -140,7 +139,6 @@ __all__ = [
     "mu_p_in_field",
     "necklace_count",
     "pic_p_nontrivial",
-    "poly_factor",
     "poly_gcd",
     "random_gmodule",
     "resolve_point_degrees",

@@ -35,8 +35,9 @@ the conjugates of the root.
 
 A count, an enumeration or a census over F_{q^d}, d <= n, first passes q
 and n to ``budget.check_budget``, so no field past the budget is built.
-Validation has no budget.  It runs on Poly arithmetic, and factors a
-polynomial only to name the singular factor in a SingularModel error.
+Validation has no budget.  It runs on Poly arithmetic and factors no
+polynomial: a SingularModel error in characteristic 2 names the gcd whose
+zeros are the singular x.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .gf import (
     field_create,
     is_json_int,
     mobius,
-    poly_factor,
     poly_gcd,
     squarefree,
     x_poly,
@@ -277,16 +277,15 @@ def _check_smooth_char2(f: Poly, h: Poly) -> None:
     F_y = h and F_x = h'*y + f', so a singular point (x0, y0) has h(x0) = 0
     and h'(x0)*y0 = f'(x0) with y0^2 = f(x0); squaring is injective in
     characteristic 2, so that holds iff x0 is also a zero of h'^2 * f + f'^2.
-    Only a nontrivial gcd is factored, to name its least irreducible factor.
+    The error names the monic gcd, whose zeros are the singular x.
     """
     if h.degree < 1:
         return
     hd, fd = h.derivative(), f.derivative()
     g = poly_gcd(h, hd * hd * f + fd * fd)
     if g.degree >= 1:
-        pi = poly_factor(g)[0][0]
         raise SingularModel(
-            f"affine model is singular above {pi!r} (both partials vanish)"
+            f"affine model is singular above {g!r} (both partials vanish)"
         )
 
 

@@ -14,7 +14,7 @@ class ReducibleModulus(CurveClassError):
 
 
 class ZeroPolynomial(CurveClassError):
-    """Operation (factorization, degree-based dispatch) rejects the zero polynomial."""
+    """Operation (leading coefficient, normalization, squarefree test) rejects the zero polynomial."""
 
 
 class SingularModel(CurveClassError):

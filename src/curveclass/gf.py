@@ -55,15 +55,14 @@ Conventions used throughout the package:
   schoolbook.  Irreducibility has one test, Ben-Or's on _FpRing, for
   moduli; the irreducibles over F_q are the keys of Extension.roots.
 * Deterministic order on polynomials: by degree, then by the coefficient
-  tuple compared low degree first.  All enumeration and factor output uses
-  this order.
+  tuple compared low degree first.  All enumeration uses this order.  No
+  polynomial is factored: a product is built from its factors instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import random
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
@@ -77,7 +76,6 @@ from .errors import (
 )
 
 _TABLE_LIMIT = 128
-_EDS_SEED = 0x5EED
 
 
 class _NegInf:
@@ -883,20 +881,15 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
-        """self**e by square-and-multiply; pow(self, e, mod) reduces every
-        product mod ``mod``."""
-
-        def red(a: "Poly") -> "Poly":
-            return a if mod is None else a % mod
-
-        result, base = red(Poly(self.field, (1,))), red(self)
+    def __pow__(self, e: int) -> "Poly":
+        """self**e by square-and-multiply."""
+        result, base = Poly(self.field, (1,)), self
         while e:
             if e & 1:
-                result = red(result * base)
+                result = result * base
             e >>= 1
             if e:
-                base = red(base * base)
+                base = base * base
         return result
 
     def monic(self) -> "Poly":
@@ -982,120 +975,6 @@ def squarefree(f: Poly) -> bool:
     if d.is_zero:
         return False
     return poly_gcd(f, d).degree == 0
-
-
-def _pth_root_poly(f: Poly) -> Poly:
-    """For f with zero derivative, the g with g^p = f."""
-    F = f.field
-    p = F.p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        c = f.coeffs[i]
-        out.append(F.pow_idx(c, F.q // p))
-    # sanity: intermediate coefficients must vanish
-    for i, c in enumerate(f.coeffs):
-        if i % p and c:
-            raise CurveClassError("pth-root called on a polynomial with nonzero derivative")
-    return Poly(F, out)
-
-
-def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus: f monic squarefree, all factors of degree e."""
-    if f.degree == e:
-        return [f]
-    F = f.field
-    q, p = F.q, F.p
-    n = f.degree
-    while True:
-        b = Poly(F, [rng.randrange(q) for _ in range(n)])
-        if b.degree < 1:
-            continue
-        if p == 2:
-            # additive (trace) splitting
-            k = e * F.m  # q^e = 2^(e*m)
-            acc = b % f
-            cur = b % f
-            for _ in range(k - 1):
-                cur = (cur * cur) % f
-                acc = acc + cur
-            g = poly_gcd(acc, f)
-        else:
-            t = pow(b, (q**e - 1) // 2, f) - Poly(F, (1,))
-            g = poly_gcd(t, f)
-        if 0 < g.degree < n:
-            return _equal_degree_split(g, e, rng) + _equal_degree_split(f // g, e, rng)
-
-
-def _factor_squarefree_monic(f: Poly, rng: random.Random) -> list[Poly]:
-    out: list[Poly] = []
-    F = f.field
-    q = F.q
-    x = x_poly(F)
-    cur = f
-    h = x % cur
-    i = 0
-    while cur.degree >= 1:
-        i += 1
-        if 2 * i > cur.degree:
-            out.append(cur)
-            break
-        h = pow(h, q, cur)
-        g = poly_gcd(h - x, cur)
-        if g.degree >= 1:
-            out.extend(_equal_degree_split(g, i, rng))
-            cur = cur // g
-            h = h % cur
-    return out
-
-
-def _factor_monic(f: Poly, rng: random.Random) -> dict[Poly, int]:
-    out: dict[Poly, int] = {}
-    if f.degree == 0:
-        return out
-    d = f.derivative()
-    if d.is_zero:
-        g = _pth_root_poly(f)
-        for pi, e in _factor_monic(g, rng).items():
-            out[pi] = out.get(pi, 0) + f.field.p * e
-        return out
-    w = poly_gcd(f, d)
-    sqf = (f // w).monic()
-    rem = f
-    for pi in _factor_squarefree_monic(sqf, rng):
-        e = 0
-        while True:
-            qt, r = divmod(rem, pi)
-            if not r.is_zero:
-                break
-            rem = qt
-            e += 1
-        out[pi] = e
-    if rem.degree >= 1:
-        for pi, e in _factor_monic(rem.monic(), rng).items():
-            out[pi] = out.get(pi, 0) + e
-    return out
-
-
-def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor f into monic irreducibles with multiplicities.
-
-    Output is sorted by degree then coefficient tuple (low degree first), so
-    repeated runs are byte-identical; the internal equal-degree splitting uses
-    a fixed-seed stream.  The unit is f's leading coefficient, not returned.
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    rng = random.Random(_EDS_SEED)
-    fm = f.monic()
-    found = _factor_monic(fm, rng)
-    out = sorted(found.items(), key=lambda it: it[0].sort_key())
-    # re-multiplication self-check
-    prod = Poly(f.field, (1,))
-    for pi, e in out:
-        prod = prod * pi**e
-    if prod != fm:
-        raise CurveClassError("factorization self-check failed")
-    return out
 
 
 def monic_polys(field: Field, d: int) -> Iterator[Poly]:

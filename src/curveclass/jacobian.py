@@ -10,9 +10,14 @@ prime l | N = #Pic^0, the map x -> l*x is tabulated over the enumerated set
 (one scalar multiplication per element), and #Pic^0[l^j] for j <= v_l(N)
 is counted by walking that table, with no further compositions.
 
-The v come from square roots of f modulo each prime power pi^e dividing u:
-the root mod pi is a table lookup in F_{q^d} = field.extension(d),
-d = deg pi, and Hensel steps lift it with Poly arithmetic.
+Each u is built as a product of prime powers pi^e, never factored: the
+monic irreducibles pi of degree d are the keys of the root table of
+F_{q^d} = field.extension(d) (``curve.irreducibles``).  The v come from
+square roots of f modulo each pi^e, taken once per pi^e in a walk: the
+root mod pi is a table lookup in F_{q^d}, and Hensel steps lift it with
+Poly arithmetic.  A u with a factor pi^e that has no such root has no v
+and is skipped; the roots mod the factors meet by the Chinese remainder
+theorem.
 
 ``classify`` enumerates the whole group only when the zeta layer hit the
 budget (h unknown); the ``oracle`` subcommand, ``scripts/`` and the tests
@@ -36,9 +41,9 @@ from __future__ import annotations
 
 import random
 
-from .curve import Curve, DoubleCover, ProjectiveLine
+from .curve import Curve, DoubleCover, ProjectiveLine, irreducibles
 from .errors import BudgetExceeded, CurveClassError, OracleUnsupportedModel
-from .gf import Poly, monic_polys, poly_extgcd, poly_factor, prime_factors
+from .gf import Poly, poly_extgcd, prime_factors
 from .record import FrozenRecord
 
 _SANITY_SEED = 0xD1F0
@@ -102,14 +107,20 @@ def _sqrt_mod_prime_power(f: Poly, pi: Poly, e: int) -> list[Poly]:
     return sorted({s % mod, (-s) % mod}, key=Poly.sort_key)
 
 
-def _sqrt_mod(f: Poly, u: Poly) -> list[Poly]:
-    """All v with deg v < deg u and u | v^2 - f."""
+def _sqrt_mod(f: Poly, factors, local: dict) -> list[Poly]:
+    """All v with deg v < deg u and u | v^2 - f, where u is the product of
+    pi^e over the (pi, e) in factors, distinct pi.
+
+    local memoizes ``_sqrt_mod_prime_power(f, pi, e)`` by (pi, e).
+    """
     field = f.field
     cur = [Poly(field)]
     cur_mod = Poly(field, (1,))
-    for pi, e in poly_factor(u):
-        local = _sqrt_mod_prime_power(f, pi, e)
-        if not local:
+    for pi, e in factors:
+        roots = local.get((pi, e))
+        if roots is None:
+            roots = local[(pi, e)] = _sqrt_mod_prime_power(f, pi, e)
+        if not roots:
             return []
         mod_i = pi**e
         g, a, b = poly_extgcd(cur_mod, mod_i)
@@ -118,7 +129,7 @@ def _sqrt_mod(f: Poly, u: Poly) -> list[Poly]:
         new_mod = cur_mod * mod_i
         nxt = []
         for xv in cur:
-            for yv in local:
+            for yv in roots:
                 z = (xv * b * mod_i + yv * a * cur_mod) % new_mod
                 nxt.append(z)
         cur, cur_mod = nxt, new_mod
@@ -126,12 +137,44 @@ def _sqrt_mod(f: Poly, u: Poly) -> list[Poly]:
 
 
 def _mumford_walk(f: Poly, g: int):
-    """The reduced Mumford pairs, identity first, then by deg u and u."""
+    """The reduced Mumford pairs, identity first, then by (deg u, u, v).
+
+    Each u is built from its factorization, never factored.  The monic
+    irreducibles of degree d (``irreducibles``, the keys of a root table)
+    are read as the walk reaches degree d, and a u of degree d is pi^e
+    times a u' of degree d - e*deg(pi) whose irreducible factors all come
+    before pi.  A u with a factor pi^e that has no square root of f mod
+    pi^e has no v, so it is never built.
+    """
     field = f.field
-    yield (Poly(field, (1,)), Poly(field))
+    one = Poly(field, (1,))
+    yield (one, Poly(field))
+    local: dict = {}
+    pis: list[Poly] = []
+    # built[k]: (index in pis of the last factor, u, its (pi, e) list) for
+    # every u of degree k whose prime powers all have local roots
+    built = [[(-1, one, [])]]
     for d in range(1, g + 1):
-        for u in monic_polys(field, d):
-            for v in _sqrt_mod(f, u):
+        pis += irreducibles(field, d)
+        level = []
+        for i, pi in enumerate(pis):
+            power = one
+            for e in range(1, d // pi.degree + 1):
+                power = power * pi
+                roots = local.get((pi, e))
+                if roots is None:
+                    roots = local[(pi, e)] = _sqrt_mod_prime_power(f, pi, e)
+                if not roots:
+                    break  # no root mod pi^e, so none mod a higher power
+                level.extend(
+                    (i, u * power, factors + [(pi, e)])
+                    for j, u, factors in built[d - e * pi.degree]
+                    if j < i
+                )
+        level.sort(key=lambda entry: entry[1].sort_key())
+        built.append(level)
+        for _, u, factors in level:
+            for v in _sqrt_mod(f, factors, local):
                 yield (u, v)
 
 

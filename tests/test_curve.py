@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import curveclass.curve as curve_mod
 from curveclass import (
     BudgetExceeded,
     GeometricallyReducible,
@@ -95,24 +94,21 @@ def test_char2_genus_values():
         assert build(2, f=f, h=h).genus == genus
 
 
-def test_char2_validation_factors_only_a_singular_model(monkeypatch):
-    # smoothness is one gcd and the finite places add 2 deg h, so a smooth
-    # model is validated without factoring anything
-    with monkeypatch.context() as patch:
-        def refuse(f):
-            raise AssertionError(f"factored {f!r}")
-
-        patch.setattr(curve_mod, "poly_factor", refuse)
-        for p, m, f, h, _ in VALIDATE:
-            build(p, m, f=f, h=h)
-        for f, h, genus in CHAR2_GENUS:
-            assert build(2, f=f, h=h).genus == genus
-    # h = 3x^2 (x + 2)(x^2 + 2x + 1) over F_4: x is a zero of h but no
-    # singular point lies above it; the error names the least singular factor
-    msg = "affine model is singular above Poly(2 + 1*x^1 over q=4) (both partials vanish)"
+def test_char2_validation_factors_only_a_singular_model():
+    # smoothness is one gcd g = gcd(h, h'^2 * f + f'^2), and nothing is
+    # factored even for a singular model: the error names g itself, whose
+    # zeros are the singular x.  h = 3x^2 (x + 2)(x^2 + 2x + 1) over F_4:
+    # x is a zero of h but no singular point lies above it, so x does not
+    # divide g, while the zero 3 of x + 2 is singular and g(3) = 0
+    g = Poly(field_create(2, 2), [2, 2, 0, 1])
+    msg = f"affine model is singular above {g!r} (both partials vanish)"
+    assert msg == "affine model is singular above Poly(2 + 2*x^1 + 1*x^3 over q=4) (both partials vanish)"
     with pytest.raises(SingularModel) as err:
         build(2, 2, f=[3, 3, 2, 1, 1], h=[0, 0, 3, 3, 0, 2])
     assert str(err.value) == msg
+    h = Poly(g.field, [0, 0, 3, 3, 0, 2])
+    assert (h % g).is_zero and not (g % Poly(g.field, [0, 1])).is_zero
+    assert (g % Poly(g.field, [2, 1])).is_zero
 
 
 def _char2_draw(rng, field, k):
@@ -159,7 +155,7 @@ def test_char2_validation_digest_seeded():
             records.append((m, f, h, rec))
     assert outcomes == {"valid", "SingularModel", "GeometricallyReducible", "UnsupportedModel"}
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
-    assert digest == "4c02c8341bb715c937a1d7645a04e4929ddbf0036af6be89583c3f059ab87ecb"
+    assert digest == "4a11803f633ce239b3dcd1b39faf145c72577d7b644bdb43b0a0c909adcbac97"
 
 
 # ---------------------------------------------------------------------------

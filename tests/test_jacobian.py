@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,8 +12,8 @@ from curveclass import (
     l_polynomial,
 )
 from curveclass import jacobian as jacobian_mod
-from curveclass.gf import prime_factors
-from curveclass.jacobian import p_sylow_rank, p_torsion_dim
+from curveclass.gf import Extension, Poly, monic_polys, prime_factors
+from curveclass.jacobian import _sqrt_mod, p_sylow_rank, p_torsion_dim
 from util import (
     E_33_F7,
     E_9_F7,
@@ -79,6 +80,103 @@ def test_torsion_counts_match_factors_on_random_curves():
                 want = math.prod(math.gcd(n, d) for d in s.invariant_factors)
                 assert killed == want, (p, m, g, s.invariant_factors, n)
                 n *= l
+
+
+def _brute_force_walk(f, g):
+    # every monic u of degree <= g, and every v with deg v < deg u and
+    # u | v^2 - f, each in Poly.sort_key order
+    k = f.field
+    for d in range(g + 1):
+        for u in monic_polys(k, d):
+            vs = (Poly(k, t) for t in itertools.product(range(k.q), repeat=d))
+            for v in sorted(vs, key=Poly.sort_key):
+                if ((v * v - f) % u).is_zero:
+                    yield (u, v)
+
+
+def test_walk_matches_brute_force_seeded():
+    # the walk builds each u from its factorization; the brute-force walk
+    # tries every u and v, so it also sees the u with no v
+    rng = random.Random(0x3A1C)
+    shapes = [(3, 1, 1), (3, 1, 2), (5, 1, 1), (5, 1, 2), (7, 1, 1), (7, 1, 2),
+              (3, 2, 1), (3, 2, 2)]
+    curves = [_random_odd_degree_curve(rng, p, m, g) for p, m, g in shapes * 2]
+    curves += [build(3, f=E_Z4_F3), build(7, f=E_9_F7), build(5, f=G2_X5PX)]
+    for c in curves:
+        f, g = c.model.f, c.genus
+        walked = list(jacobian_mod._mumford_walk(f, g))
+        assert walked == list(_brute_force_walk(f, g)), (c.field.q, f)
+        assert len(walked) == l_polynomial(c).class_number
+
+
+def _identity(field):
+    return (Poly(field, (1,)), Poly(field))
+
+
+def _patched_compose(monkeypatch, wrong):
+    real = jacobian_mod._compose
+    monkeypatch.setattr(
+        jacobian_mod, "_compose", lambda D1, D2, f, g: wrong(real, D1, D2, f, g)
+    )
+
+
+def test_group_sanity_catches_a_wrong_identity_law(monkeypatch):
+    _patched_compose(monkeypatch, lambda real, D1, D2, f, g: D2)
+    with pytest.raises(CurveClassError, match="internal: identity law fails"):
+        jacobian_group(build(3, f=E_Z4_F3))
+
+
+def test_group_sanity_catches_a_wrong_inverse_law(monkeypatch):
+    # x + e = x still holds, but x + y = x for every other y
+    def wrong(real, D1, D2, f, g):
+        return real(D1, D2, f, g) if D2 == _identity(f.field) else D1
+
+    _patched_compose(monkeypatch, wrong)
+    with pytest.raises(CurveClassError, match="internal: inverse law fails"):
+        jacobian_group(build(3, f=E_Z4_F3))
+
+
+def test_group_sanity_catches_a_sum_outside_the_set(monkeypatch):
+    # the identity and inverse laws hold; any other sum has deg v = deg u
+    def wrong(real, D1, D2, f, g):
+        D = real(D1, D2, f, g)
+        if D2 in (_identity(f.field), jacobian_mod._negate(D1, f)):
+            return D
+        return (D[0], D[0])
+
+    _patched_compose(monkeypatch, wrong)
+    with pytest.raises(CurveClassError, match="internal: composition left the divisor set"):
+        jacobian_group(build(3, f=E_Z4_F3))
+
+
+def test_group_sanity_catches_a_wrong_associative_law(monkeypatch):
+    # x o y = x - y unless y is e or -x: closed, with identity and inverses,
+    # but on Z/4 (1 o 1) o 1 = -1 while 1 o (1 o 1) = 1
+    def wrong(real, D1, D2, f, g):
+        if D2 in (_identity(f.field), jacobian_mod._negate(D1, f)):
+            return real(D1, D2, f, g)
+        return real(D1, jacobian_mod._negate(D2, f), f, g)
+
+    _patched_compose(monkeypatch, wrong)
+    with pytest.raises(CurveClassError, match="internal: associativity fails"):
+        jacobian_group(build(3, f=E_Z4_F3))
+
+
+def test_sqrt_mod_refuses_moduli_with_a_common_factor():
+    # f = x^3 + x over F_3 has f(2) = 1, a square, so x + 1 has local
+    # roots; repeated, its two moduli are not coprime
+    f = build(3, f=E_Z4_F3).model.f
+    pi = Poly(f.field, [1, 1])
+    assert len(_sqrt_mod(f, [(pi, 1)], {})) == 2
+    with pytest.raises(CurveClassError, match="internal: moduli must be coprime"):
+        _sqrt_mod(f, [(pi, 1), (pi, 1)], {})
+
+
+def test_hensel_lift_is_checked(monkeypatch):
+    # a residue of 0 is no square root of f where f is a nonzero square
+    monkeypatch.setattr(Extension, "residue", lambda self, beta, alpha, pi: Poly(self.base))
+    with pytest.raises(CurveClassError, match="internal: Hensel lift failed"):
+        jacobian_group(build(3, f=E_Z4_F3))
 
 
 def test_scalar_is_repeated_composition():

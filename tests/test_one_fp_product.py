@@ -6,9 +6,12 @@ The schoolbook ``_fp_mul`` and its ``_fp_powmod_x``, the digit-vector
 product ``_mul_digits_raw``, Hasse–Witt's truncated Kronecker product and
 power, the unit-root scan that repeated Ben-Or's first step, and the second
 Ben-Or on ``Poly`` (``is_irreducible``) and ``pow_mod``, a second
-square-and-multiply now written ``pow(b, e, mod)`` on ``Poly``, stay gone,
-and hasse_witt does no packing of its own.  ``Field.tables`` walks a field with m > 1 on its
-multiply-by-t table alone, never on the ring."""
+square-and-multiply, stay gone, and hasse_witt does no packing of its own.
+``Field.tables`` walks a field with m > 1 on its multiply-by-t table alone,
+never on the ring.  No polynomial is factored: the irreducibles are the
+keys of the root tables, and the Jacobian walk builds each u from its
+factors, so the Cantor-Zassenhaus factorizer and its seeded stream stay
+gone, and gf draws no random numbers."""
 
 import ast
 from pathlib import Path
@@ -19,6 +22,10 @@ GONE = {
     "_fp_mul", "_fp_powmod_x", "_mul_digits_raw",
     "_fp_has_unit_root", "_fp_mul_truncated", "fp_power_truncated", "is_irreducible",
     "pow_mod",
+}
+FACTORING = {
+    "poly_factor", "_factor_monic", "_factor_squarefree_monic", "_equal_degree_split",
+    "_pth_root_poly", "_EDS_SEED",
 }
 RING = {"_ring", "_pack", "pack_lanes", "reduce"}
 PACKING = {"to_bytes", "from_bytes", "lane_width", "pack_lanes", "unpack_lanes"}
@@ -39,6 +46,26 @@ def test_schoolbook_fp_product_is_gone():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in GONE
     ]
     assert not found, "defined again: " + ", ".join(found)
+
+
+def test_polynomial_factoring_is_gone():
+    found = [
+        f"{name}:{node.lineno} {ident}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        for ident in [getattr(node, "name", None) or getattr(node, "id", None)
+                      or getattr(node, "attr", None)]
+        if ident in FACTORING
+    ]
+    assert not found, "named again: " + ", ".join(found)
+    gf = dict(_trees())["gf.py"]
+    imported = [
+        alias.name
+        for node in ast.walk(gf)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ] + [node.module for node in ast.walk(gf) if isinstance(node, ast.ImportFrom)]
+    assert "random" not in imported, "gf.py imports random"
 
 
 def test_hasse_witt_does_no_packing():

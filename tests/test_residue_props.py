@@ -21,7 +21,7 @@ from curveclass import (
     irreducibles,
     necklace_count,
 )
-from curveclass.gf import monic_polys, squarefree
+from curveclass.gf import squarefree
 from curveclass.jacobian import _sqrt_mod
 from util import build
 
@@ -84,7 +84,8 @@ def test_split_points_solve_the_equation(data):
 @given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]), st.data())
 def test_sqrt_mod_matches_brute_force(pm, data):
     # all v with deg v < deg u and u | v^2 - f (f squarefree), on the
-    # oracle's Hensel path: u = pi^e * rest, so lifts past e = 1 are drawn
+    # oracle's Hensel path: u = pi^e times up to two more prime powers,
+    # drawn as the factorization _sqrt_mod takes, so lifts past e = 1 occur
     p, m = pm
     k = field_create(p, m)
     q = k.q
@@ -92,13 +93,22 @@ def test_sqrt_mod_matches_brute_force(pm, data):
     f = Poly(k, _poly(data.draw, q, data.draw(st.integers(1, 5))))
     assume(squarefree(f))
     d = data.draw(st.integers(1, min(2, deg_cap)))
-    pi = data.draw(st.sampled_from(irreducibles(k, d)))
-    e = data.draw(st.integers(1, deg_cap // d))
-    rest = data.draw(st.sampled_from(list(monic_polys(k, data.draw(st.integers(0, deg_cap - d * e))))))
-    u = pi**e * rest
+    factors = [(data.draw(st.sampled_from(irreducibles(k, d))), data.draw(st.integers(1, deg_cap // d)))]
+    room = deg_cap - d * factors[0][1]
+    for _ in range(data.draw(st.integers(0, 2))):
+        if not room:
+            break
+        d = data.draw(st.integers(1, room))
+        pi, e = data.draw(st.sampled_from(irreducibles(k, d))), data.draw(st.integers(1, room // d))
+        assume(all(pi != rho for rho, _ in factors))
+        factors.append((pi, e))
+        room -= d * e
+    u = Poly(k, (1,))
+    for pi, e in factors:
+        u = u * pi**e
     expect = [
         v
         for v in (Poly(k, t) for t in itertools.product(range(q), repeat=u.degree))
         if ((v * v - f) % u).is_zero
     ]
-    assert _sqrt_mod(f, u) == sorted(expect, key=Poly.sort_key)
+    assert _sqrt_mod(f, factors, {}) == sorted(expect, key=Poly.sort_key)
