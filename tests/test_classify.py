@@ -56,6 +56,19 @@ def test_fundamental_group_case():
         fundamental_group_case([], 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mu_p_in_field(9, 4), "p must be prime"),
+        (lambda: fundamental_group_case([0], 3), "degrees must be positive"),
+    ],
+    ids=["mu-p-composite", "degree-0"],
+)
+def test_bad_helper_input_is_refused(call, message):
+    with pytest.raises(CurveClassError, match=message):
+        call()
+
+
 def test_euler_examples():
     assert euler_bookkeeping(0, 1, 0) == {
         "s": 0, "t": 1, "h1": 0, "rho": 1, "h2": 0,

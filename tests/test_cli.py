@@ -248,3 +248,8 @@ def test_gmodule_random_deterministic(capsys):
 
 def test_gmodule_needs_input(capsys):
     assert main(["gmodule", "--p", "3"]) == 1
+
+
+def test_gmodule_random_needs_a_positive_count(capsys):
+    assert main(["gmodule", "--p", "3", "--random", "0"]) == 1
+    assert "--random must be at least 1" in capsys.readouterr().err

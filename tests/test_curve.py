@@ -9,11 +9,14 @@ from curveclass import (
     SingularModel,
     UnsupportedModel,
     CurveClassError,
+    DoubleCover,
     census,
     closed_point_counts,
     closed_points,
     count_points,
     curve_to_json,
+    field_from_json,
+    irreducibles,
     model_from_json,
     necklace_count,
     validate,
@@ -25,6 +28,34 @@ from util import E_Z4_F3, G2_X5PX, build, curve_json
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: field_from_json([3, 1]), "field description must be an object"),
+        (lambda: model_from_json("P1"), "curve description must be an object"),
+        (lambda: model_from_json({"field": {"p": 3}}), 'needs "field" and "model"'),
+        (lambda: model_from_json({"model": {"kind": "projective_line"}}),
+         'needs "field" and "model"'),
+        (lambda: model_from_json({"field": {"p": 3}, "model": {"kind": "plane_quartic"}}),
+         "unknown model kind 'plane_quartic'"),
+        (lambda: validate(build(3).model.field), "unknown model object"),
+        (lambda: validate(DoubleCover(field_create(3, 1), Poly(field_create(3, 2), (0, 1, 0, 1)),
+                                      Poly(field_create(3, 1)))),
+         "model polynomials must live over the model field"),
+        (lambda: irreducibles(field_create(3, 1), 0), "degree must be >= 1"),
+        (lambda: count_points(build(3, f=E_Z4_F3), 0), "extension degree must be >= 1"),
+        (lambda: closed_point_counts(build(3, f=E_Z4_F3), 0), "max_degree must be >= 1"),
+        (lambda: closed_points(build(3, f=E_Z4_F3), 0), "max_degree must be >= 1"),
+    ],
+    ids=["field-not-object", "curve-not-object", "no-model", "no-field", "unknown-kind",
+         "not-a-model", "foreign-polynomials", "irreducibles-degree-0", "count-degree-0",
+         "closed-point-counts-degree-0", "closed-points-degree-0"],
+)
+def test_bad_input_is_refused(call, message):
+    with pytest.raises(CurveClassError, match=message):
+        call()
 
 def test_projective_line():
     c = build(2)

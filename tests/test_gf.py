@@ -449,6 +449,34 @@ def test_artin_schreier_checks_its_solution(monkeypatch):
         ext.artin_schreier(1)
 
 
+def test_walk_from_t_checks_that_its_order_divides_q_minus_1(monkeypatch):
+    # t = i is not primitive in F_3[t]/(t^2 + 1); a multiply-by-t table
+    # whose cycle through 1 is 1 -> 3 -> 4 -> 1 gives t order 3, and 3
+    # does not divide q - 1 = 8
+    mul_t = list(range(9))
+    mul_t[1], mul_t[3], mul_t[4] = 3, 4, 1
+    monkeypatch.setattr(Field, "_mul_t", lambda self: mul_t)
+    with pytest.raises(CurveClassError, match="internal: the order of t must divide q - 1"):
+        Field(3, 2, (1, 0, 1))
+
+
+def test_trace_to_prime_field_checks_where_it_lands(monkeypatch):
+    # with x^3 taken as x, the trace of t over F_9 sums to t + t = 2t
+    field = field_create(3, 2)
+    monkeypatch.setattr(Field, "pow_idx", lambda self, a, e: a)
+    with pytest.raises(CurveClassError, match="internal: trace did not land in the prime field"):
+        field.trace_to_prime_idx(3)
+
+
+def test_frobenius_orbits_check_their_total():
+    # necklaces of 2 digits over F_3 cover 9 - 1 logs, not the 27 - 1 of
+    # F_27; a wrong n above 3 runs the walk past N and never ends
+    ext = Extension(field_create(3, 1), 3)
+    ext.n = 2
+    with pytest.raises(CurveClassError, match="internal: Frobenius orbit lengths do not sum"):
+        ext.orbits()
+
+
 def test_extension_rho_is_least_linear_factor_root():
     # the image of the base field's t, found among the subfield elements,
     # is the least root of the base modulus in a scan of all of F_{q^n};

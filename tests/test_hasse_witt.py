@@ -28,7 +28,7 @@ from curveclass import (
 )
 from curveclass import jacobian as jacobian_mod
 from curveclass.gf import det_rank
-from curveclass.hasse_witt import hasse_witt_s
+from curveclass.hasse_witt import hasse_witt_matrix, hasse_witt_s
 from curveclass.jacobian import p_torsion_dim
 from util import E_Z4_F3, G2_X5PX, REV_F27, S2_F3, build
 
@@ -218,3 +218,9 @@ def test_search_script_imports():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.det_rank is det_rank
+
+
+def test_hasse_witt_matrix_refuses_characteristic_2():
+    f = Poly(field_create(2, 1), (1, 1, 0, 1))
+    with pytest.raises(CurveClassError, match="needs odd characteristic"):
+        hasse_witt_matrix(f, 1)

@@ -13,7 +13,7 @@ from curveclass import (
 )
 from curveclass import jacobian as jacobian_mod
 from curveclass.gf import Extension, Poly, monic_polys, prime_factors
-from curveclass.jacobian import _sqrt_mod, p_sylow_rank, p_torsion_dim
+from curveclass.jacobian import _crt_step, _sqrt_mod_prime_power, p_sylow_rank, p_torsion_dim
 from util import (
     E_33_F7,
     E_9_F7,
@@ -167,9 +167,10 @@ def test_sqrt_mod_refuses_moduli_with_a_common_factor():
     # roots; repeated, its two moduli are not coprime
     f = build(3, f=E_Z4_F3).model.f
     pi = Poly(f.field, [1, 1])
-    assert len(_sqrt_mod(f, [(pi, 1)], {})) == 2
+    roots = _sqrt_mod_prime_power(f, pi, 1)
+    assert len(roots) == 2
     with pytest.raises(CurveClassError, match="internal: moduli must be coprime"):
-        _sqrt_mod(f, [(pi, 1), (pi, 1)], {})
+        _crt_step(pi, roots, pi, roots)
 
 
 def test_hensel_lift_is_checked(monkeypatch):
@@ -206,6 +207,86 @@ def test_multiplication_leaving_the_set_is_an_error(monkeypatch):
     monkeypatch.setattr(jacobian_mod, "_scalar", leaky)
     with pytest.raises(CurveClassError, match="left the divisor set"):
         jacobian_group(build(3, f=E_Z4_F3))
+
+
+def test_identity_must_be_the_only_zero_torsion_element(monkeypatch):
+    # a walk that yields the identity twice: the group laws still hold on
+    # the set, but N = 10 and two elements are 0-torsion
+    real = jacobian_mod._mumford_walk
+
+    def doubled(f, g):
+        walk = real(f, g)
+        identity = next(walk)
+        yield identity
+        yield identity
+        yield from walk
+
+    monkeypatch.setattr(jacobian_mod, "_mumford_walk", doubled)
+    with pytest.raises(CurveClassError, match="internal: identity must be the only 0-torsion"):
+        jacobian_group(build(7, f=E_9_F7))
+
+
+@pytest.mark.parametrize(
+    "fc, image, message",
+    [
+        # x_1 -> 0 alone: #G[3] = 2 is no power of 3
+        (E_9_F7, {1: 0}, "torsion ratio not an l-power"),
+        # x_1, x_2 -> 0 and x_3 -> x_1: #G[3] = 3 does not divide #G[9] = 4
+        (E_9_F7, {1: 0, 2: 0, 3: 1}, "torsion counts must nest"),
+        # every x fixed: #G[9] = 1, not 9
+        (E_9_F7, {}, r"l-Sylow subgroup must have l\^a elements"),
+        # on (Z/8)^2, x_1 -> 0, x_2..x_7 -> x_1 and the rest -> x_2:
+        # #G[2^j] = 2, 8, 64, so the profile starts 1, 2, 3
+        (G2_X5PX, {1: 0, **dict.fromkeys(range(2, 8), 1),
+                   **dict.fromkeys(range(8, 64), 2)},
+         "exponent profile must be non-increasing"),
+    ],
+)
+def test_torsion_profile_checks(monkeypatch, fc, image, message):
+    # a wrong _scalar, given as a map on the walk's indices (0 the identity,
+    # any index not named fixed), makes x -> l*x into that map
+    c = build(7, f=fc)
+    elements = list(jacobian_mod._mumford_walk(c.model.f, c.genus))
+    index = {x: i for i, x in enumerate(elements)}
+
+    def wrong(n, D, f, g, identity):
+        i = index[D]
+        return elements[image.get(i, i)]
+
+    monkeypatch.setattr(jacobian_mod, "_scalar", wrong)
+    with pytest.raises(CurveClassError, match="internal: " + message):
+        jacobian_group(c)
+
+
+def test_p_sylow_walk_on_the_projective_line_runs_out():
+    # P^1 has one divisor class, so no h divisible by p can be filled
+    with pytest.raises(CurveClassError, match="internal: the walk ran out"):
+        p_sylow_rank(build(5), 5, 5)
+
+
+def test_p_sylow_cosets_must_not_overlap(monkeypatch):
+    # e + y = e: the first coset e + y lands back on the identity
+    def wrong(real, D1, D2, f, g):
+        return D1 if D1 == _identity(f.field) else real(D1, D2, f, g)
+
+    _patched_compose(monkeypatch, wrong)
+    with pytest.raises(CurveClassError, match="internal: cosets of the p-Sylow walk overlap"):
+        p_sylow_rank(build(7, f=E_9_F7), 3, 9)
+
+
+def test_p_sylow_subgroup_must_not_outgrow_p_to_the_a(monkeypatch):
+    # on (Z/6)^2 with p = 3 (m = 4, p^a = 9), a _scalar with m*x = x and
+    # 9*y = 0 for every y lets elements of order 2 and 6 into the subgroup
+    real = jacobian_mod._scalar
+
+    def wrong(n, D, f, g, identity):
+        if n == 4:
+            return D
+        return identity if n == 9 else real(n, D, f, g, identity)
+
+    monkeypatch.setattr(jacobian_mod, "_scalar", wrong)
+    with pytest.raises(CurveClassError, match=r"internal: the p-Sylow subgroup outgrew p\^a"):
+        p_sylow_rank(build(5, f=G2_X5PX), 3, 36)
 
 
 def test_pinned_elliptic_structures():

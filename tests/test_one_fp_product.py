@@ -11,7 +11,9 @@ square-and-multiply, stay gone, and hasse_witt does no packing of its own.
 never on the ring.  No polynomial is factored: the irreducibles are the
 keys of the root tables, and the Jacobian walk builds each u from its
 factors, so the Cantor-Zassenhaus factorizer and its seeded stream stay
-gone, and gf draws no random numbers."""
+gone, and gf draws no random numbers.  The walk carries the square roots
+of f mod each u it builds to the next degree, so ``_sqrt_mod``, which
+rebuilt them from every prime power of u, stays gone too."""
 
 import ast
 from pathlib import Path
@@ -27,6 +29,8 @@ FACTORING = {
     "poly_factor", "_factor_monic", "_factor_squarefree_monic", "_equal_degree_split",
     "_pth_root_poly", "_EDS_SEED",
 }
+# the walk carries each u's square roots of f forward, one CRT step per u
+WHOLE_U_ROOTS = {"_sqrt_mod"}
 RING = {"_ring", "_pack", "pack_lanes", "reduce"}
 PACKING = {"to_bytes", "from_bytes", "lane_width", "pack_lanes", "unpack_lanes"}
 
@@ -48,15 +52,19 @@ def test_schoolbook_fp_product_is_gone():
     assert not found, "defined again: " + ", ".join(found)
 
 
-def test_polynomial_factoring_is_gone():
-    found = [
+def _named(names):
+    return [
         f"{name}:{node.lineno} {ident}"
         for name, tree in _trees()
         for node in ast.walk(tree)
         for ident in [getattr(node, "name", None) or getattr(node, "id", None)
                       or getattr(node, "attr", None)]
-        if ident in FACTORING
+        if ident in names
     ]
+
+
+def test_polynomial_factoring_is_gone():
+    found = _named(FACTORING)
     assert not found, "named again: " + ", ".join(found)
     gf = dict(_trees())["gf.py"]
     imported = [
@@ -66,6 +74,11 @@ def test_polynomial_factoring_is_gone():
         for alias in node.names
     ] + [node.module for node in ast.walk(gf) if isinstance(node, ast.ImportFrom)]
     assert "random" not in imported, "gf.py imports random"
+
+
+def test_square_roots_mod_a_whole_u_are_gone():
+    found = _named(WHOLE_U_ROOTS)
+    assert not found, "named again: " + ", ".join(found)
 
 
 def test_hasse_witt_does_no_packing():

@@ -22,7 +22,7 @@ from curveclass import (
     necklace_count,
 )
 from curveclass.gf import squarefree
-from curveclass.jacobian import _sqrt_mod
+from curveclass.jacobian import _crt_step, _sqrt_mod_prime_power
 from util import build
 
 SETTINGS = settings(
@@ -84,8 +84,9 @@ def test_split_points_solve_the_equation(data):
 @given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]), st.data())
 def test_sqrt_mod_matches_brute_force(pm, data):
     # all v with deg v < deg u and u | v^2 - f (f squarefree), on the
-    # oracle's Hensel path: u = pi^e times up to two more prime powers,
-    # drawn as the factorization _sqrt_mod takes, so lifts past e = 1 occur
+    # oracle's Hensel path: u = pi^e times up to two more prime powers, so
+    # lifts past e = 1 occur; the roots mod each pi^e are folded in by CRT
+    # steps, as the walk builds u
     p, m = pm
     k = field_create(p, m)
     q = k.q
@@ -103,12 +104,14 @@ def test_sqrt_mod_matches_brute_force(pm, data):
         assume(all(pi != rho for rho, _ in factors))
         factors.append((pi, e))
         room -= d * e
-    u = Poly(k, (1,))
-    for pi, e in factors:
+    (pi, e), *rest = factors
+    u, vs = pi**e, _sqrt_mod_prime_power(f, pi, e)
+    for pi, e in rest:
+        vs = _crt_step(u, vs, pi**e, _sqrt_mod_prime_power(f, pi, e))
         u = u * pi**e
     expect = [
         v
         for v in (Poly(k, t) for t in itertools.product(range(q), repeat=u.degree))
         if ((v * v - f) % u).is_zero
     ]
-    assert _sqrt_mod(f, factors, {}) == sorted(expect, key=Poly.sort_key)
+    assert vs == sorted(expect, key=Poly.sort_key)

@@ -417,3 +417,20 @@ def test_closed_point_counts_check_divisibility(monkeypatch):
     _count_off_by_one(monkeypatch, curve_mod, 2)
     with pytest.raises(CurveClassError, match=r"internal: point counts give \d+/2 closed points"):
         closed_point_counts(c, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LPolynomial(3, 1, (1, 0)), "must have degree exactly 2g"),
+        (lambda: LPolynomial(3, 1, (2, 0, 6)), "must have constant term 1"),
+        # Weil bounds and functional equation hold, but L(1) = -10
+        (lambda: LPolynomial(2, 2, (1, -5, 0, -10, 4)), "class number must be positive"),
+        (lambda: LPolynomial(3, 1, (1, 0, 3)).power_sum(0), "power sum index must be >= 1"),
+        (lambda: pic_p_nontrivial(LPolynomial(3, 1, (1, 0, 3)), 1), "p must be a prime"),
+    ],
+    ids=["length", "constant-term", "class-number", "power-sum-0", "p-1"],
+)
+def test_bad_l_polynomial_input_is_refused(call, message):
+    with pytest.raises(CurveClassError, match=message):
+        call()
