@@ -55,7 +55,7 @@ from .gf import is_prime
 from .hasse_witt import hasse_witt_s
 from .ihara import ihara_sum_exceeds
 from .jacobian import jacobian_group, oracle_gate, p_sylow_rank, p_torsion_dim
-from .record import FrozenRecord, Record
+from .record import Record
 from .zeta import l_polynomial, pic_p_nontrivial
 
 VERDICT_TRUE = "KPI1_TRUE"
@@ -98,31 +98,25 @@ CASE_ROWS = {
 _ID_RE = re.compile(r"^d([1-9][0-9]*)#(inf)?([0-9]+)$")
 
 
-class MarkedInstance(FrozenRecord):
+class MarkedInstance(Record):
+    """The marked curve (X, T) with S and the prime p: curve (Curve), S and
+    T (frozensets of closed-point ids, made so from any iterable), p (int)."""
+
     __slots__ = ("curve", "S", "T", "p")
 
     def __init__(self, curve: Curve, S, T, p: int):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "S", frozenset(S))
-        object.__setattr__(self, "T", frozenset(T))
-        object.__setattr__(self, "p", p)
+        super().__init__(curve, frozenset(S), frozenset(T), p)
 
 
 class ClassificationReport(Record):
+    """The report of one case of the table: case (int, 1-7), verdict,
+    cd_bound and pi1_description (str), pi1_r (int or None), invariants
+    (dict), euler (dict or None) and note (str or None).  It holds dicts,
+    so it refuses hashing."""
+
     __slots__ = (
         "case", "verdict", "cd_bound", "pi1_description", "pi1_r", "invariants", "euler", "note"
     )
-
-    def __init__(self, case: int, verdict: str, cd_bound: str, pi1_description: str,
-                 pi1_r: int | None, invariants: dict, euler: dict | None, note: str | None):
-        self.case = case
-        self.verdict = verdict
-        self.cd_bound = cd_bound
-        self.pi1_description = pi1_description
-        self.pi1_r = pi1_r
-        self.invariants = invariants
-        self.euler = euler
-        self.note = note
 
     @property
     def justification(self) -> str:

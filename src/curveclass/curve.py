@@ -60,47 +60,39 @@ from .gf import (
     squarefree,
     x_poly,
 )
-from .record import FrozenRecord
+from .record import Record
 
 
-class ProjectiveLine(FrozenRecord):
+class ProjectiveLine(Record):
+    """The projective line over field (Field)."""
+
     __slots__ = ("field",)
     kind = "projective_line"
 
-    def __init__(self, field: Field):
-        object.__setattr__(self, "field", field)
 
-
-class DoubleCover(FrozenRecord):
-    """Affine model y^2 + h(x)*y = f(x); h = 0 outside characteristic 2."""
+class DoubleCover(Record):
+    """Affine model y^2 + h(x)*y = f(x) over field (Field), f and h Polys;
+    h = 0 outside characteristic 2."""
 
     __slots__ = ("field", "f", "h")
     kind = "double_cover"
 
-    def __init__(self, field: Field, f: Poly, h: Poly):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "h", h)
 
-
-class ClosedPoint(FrozenRecord):
+class ClosedPoint(Record):
     """One closed point of the smooth projective model.
 
     kind is "plain" (projective line), "ramified", "split", "inert" (finite
     points of a double cover, keyed by the monic irreducible pi below them),
     or "infinity".  Split points carry a canonical y-representative of degree
-    < deg pi.  An inert point has degree 2*deg(pi).
+    < deg pi.  An inert point has degree 2*deg(pi).  Fields: id (str),
+    degree (int), kind (str), pi and y_rep (Poly, or None by default).
     """
 
     __slots__ = ("id", "degree", "kind", "pi", "y_rep")
 
     def __init__(self, id: str, degree: int, kind: str, pi: Poly | None = None,
                  y_rep: Poly | None = None):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "y_rep", y_rep)
+        super().__init__(id, degree, kind, pi, y_rep)
 
     def to_json(self) -> dict:
         return {
@@ -112,16 +104,12 @@ class ClosedPoint(FrozenRecord):
         }
 
 
-class Curve(FrozenRecord):
-    """A validated model together with its genus and places at infinity."""
+class Curve(Record):
+    """A validated model together with its genus and places at infinity:
+    model (ProjectiveLine or DoubleCover), genus (int), infinity (tuple of
+    ClosedPoints)."""
 
     __slots__ = ("model", "genus", "infinity")
-
-    def __init__(self, model: ProjectiveLine | DoubleCover, genus: int,
-                 infinity: tuple[ClosedPoint, ...]):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "infinity", infinity)
 
     @property
     def field(self) -> Field:

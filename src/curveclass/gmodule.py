@@ -19,7 +19,7 @@ import random
 from .errors import CurveClassError, NotFinite, NotInvertible
 from .gf import det_rank, field_create, is_prime
 from .jacobian import AbelianGroupStructure
-from .record import FrozenRecord
+from .record import Record
 from .snf import (
     column_lattice_basis,
     diagonal_of,
@@ -130,12 +130,10 @@ class GModule:
         }
 
 
-class Coinvariants(FrozenRecord):
-    __slots__ = ("free_rank", "torsion")
+class Coinvariants(Record):
+    """Z^free_rank (int) plus torsion (AbelianGroupStructure)."""
 
-    def __init__(self, free_rank: int, torsion: AbelianGroupStructure):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+    __slots__ = ("free_rank", "torsion")
 
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": self.torsion.to_json()}

@@ -24,7 +24,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from .errors import CurveClassError
-from .record import FrozenRecord
+from .record import Record
 
 DECIMAL_DIGITS = 50
 
@@ -34,8 +34,8 @@ def _is_perfect_square(q: int) -> bool:
     return r * r == q
 
 
-class QSqrtValue(FrozenRecord):
-    """The number a + b*sqrt(q), coefficients exact rationals.
+class QSqrtValue(Record):
+    """The number a + b*sqrt(q): a and b exact rationals (Fraction), q (int).
 
     Construction makes a and b Fractions and, for square q, folds b*sqrt(q)
     into a, so b is 0 whenever sqrt(q) is rational.
@@ -47,9 +47,7 @@ class QSqrtValue(FrozenRecord):
         a, b = Fraction(a), Fraction(b)
         if b and _is_perfect_square(q):
             a, b = a + b * math.isqrt(q), Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
+        super().__init__(a, b, q)
 
     def __add__(self, other: "QSqrtValue") -> "QSqrtValue":
         if self.q != other.q:
@@ -57,22 +55,19 @@ class QSqrtValue(FrozenRecord):
         return QSqrtValue(self.a + other.a, self.b + other.b, self.q)
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(q): -1, 0 or +1."""
-        a, b, q = self.a, self.b, self.q
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        d = a * a - b * b * q  # same sign as (a - |b| sqrt q)(a + |b| sqrt q)
-        if d == 0:
-            raise CurveClassError("sqrt(q) cannot be rational for non-square q")
-        if a > 0:  # b < 0: positive iff a > |b| sqrt q
-            return 1 if d > 0 else -1
-        return 1 if d < 0 else -1  # a < 0, b > 0
+        """Exact sign of a + b*sqrt(q): -1, 0 or +1.
+
+        When a and b have the same sign, or one of them is 0, that is the
+        sign.  When their signs differ, the term with the larger square,
+        a^2 or b^2*q, wins.  The squares never tie there: the constructor
+        folds b into a for square q, and a^2 = b^2*q with b != 0 would make
+        q = (a/b)^2 a square.
+        """
+        a, b = self.a, self.b
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if a * a > b * b * self.q else sb
 
     def compare(self, threshold) -> int:
         """Sign of (self - threshold) for a rational threshold."""
@@ -124,14 +119,11 @@ def ihara_sum(degrees: Iterable[int], q: int) -> QSqrtValue:
     return total
 
 
-class IharaResult(FrozenRecord):
-    __slots__ = ("exceeds", "value", "threshold", "approx")
+class IharaResult(Record):
+    """Whether the Ihara sum value (QSqrtValue) exceeds threshold (int):
+    exceeds (bool), with approx (str) the value's decimal expansion."""
 
-    def __init__(self, exceeds: bool, value: QSqrtValue, threshold: int, approx: str):
-        object.__setattr__(self, "exceeds", exceeds)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "approx", approx)
+    __slots__ = ("exceeds", "value", "threshold", "approx")
 
     def to_json(self) -> dict:
         return {

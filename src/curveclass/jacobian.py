@@ -44,24 +44,22 @@ import random
 from .curve import Curve, DoubleCover, ProjectiveLine, irreducibles
 from .errors import BudgetExceeded, CurveClassError, OracleUnsupportedModel
 from .gf import Poly, poly_extgcd, prime_factors
-from .record import FrozenRecord
+from .record import Record
 
 _SANITY_SEED = 0xD1F0
 _SANITY_TRIALS = 100
+_SCALAR_SAMPLES = 4
 
 # the oracle's gates (``oracle_gate``): q^g, and the group order when known
 ORACLE_ENUM_CAP = 10**3
 ORACLE_ORDER_CAP = 10**4
 
 
-class AbelianGroupStructure(FrozenRecord):
-    """Finite abelian group as order plus invariant factors d_1 | d_2 | ..."""
+class AbelianGroupStructure(Record):
+    """Finite abelian group as order (int) plus invariant factors
+    d_1 | d_2 | ... (tuple of ints)."""
 
     __slots__ = ("order", "invariant_factors")
-
-    def __init__(self, order: int, invariant_factors: tuple[int, ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     def to_json(self) -> dict:
         return {
@@ -273,6 +271,16 @@ def _invariant_factors(elements, f: Poly, g: int, identity) -> tuple[int, ...]:
     if N == 1:
         return ()
     parts = {l: _l_exponents(elements, l, f, g, identity) for l in prime_factors(N)}
+    # the profiles pass when x -> l*x sends everything to the identity and the
+    # group is not elementary, so l*x is checked against l - 1 compositions
+    rng = random.Random(_SANITY_SEED)
+    for l in parts:
+        for x in rng.sample(elements, min(N, _SCALAR_SAMPLES)):
+            y = x
+            for _ in range(l - 1):
+                y = _compose(y, x, f, g)
+            if _scalar(l, x, f, g, identity) != y:
+                raise CurveClassError("internal: l*x is not x composed l times")
     r = max(len(v) for v in parts.values())
     inv = []
     for i in range(r):

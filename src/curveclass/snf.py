@@ -179,8 +179,6 @@ def _verify_snf(A, U, D, V):
             if i != j and D[i][j] != 0:
                 raise CurveClassError("SNF self-check failed: D not diagonal")
         d = D[i][i]
-        if d < 0:
-            raise CurveClassError("SNF self-check failed: negative diagonal")
         if prev is not None and prev != 0 and d % prev != 0 and d != 0:
             raise CurveClassError("SNF self-check failed: divisibility chain broken")
         if prev == 0 and d != 0:

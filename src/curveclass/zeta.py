@@ -17,23 +17,20 @@ from fractions import Fraction
 from .budget import check_budget
 from .errors import CurveClassError
 from .curve import Curve, count_points
-from .record import FrozenRecord
+from .record import Record
 
 
-class LPolynomial(FrozenRecord):
+class LPolynomial(Record):
     """Integer polynomial a_0 + a_1 u + ... + a_{2g} u^{2g} with a_0 = 1.
 
-    curve is the curve it was computed for (``l_polynomial`` sets it), or
+    Fields: q (int), genus g (int), coeffs (tuple of the 2g + 1 ints a_i),
+    and curve, the curve it was computed for (``l_polynomial`` sets it), or
     None for a polynomial built by hand.
     """
 
     __slots__ = ("q", "genus", "coeffs", "curve")
 
     def __init__(self, q: int, genus: int, coeffs: tuple[int, ...], curve: Curve | None = None):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "curve", curve)
         g, a = genus, coeffs
         if len(a) != 2 * g + 1:
             raise CurveClassError("L-polynomial must have degree exactly 2g")
@@ -45,8 +42,9 @@ class LPolynomial(FrozenRecord):
         for i in range(2 * g + 1):
             if a[i] ** 2 > math.comb(2 * g, i) ** 2 * q**i:
                 raise CurveClassError(f"coefficient a_{i} breaks the Weil bound")
-        if self.class_number < 1:
+        if sum(a) < 1:
             raise CurveClassError("class number must be positive")
+        super().__init__(q, genus, coeffs, curve)
 
     def evaluate(self, u):
         acc: Fraction | int = 0

@@ -17,7 +17,7 @@ from curveclass import (
     poly_gcd,
 )
 from curveclass.curve import field_from_json, field_to_json
-from curveclass.errors import NonPrimeCharacteristic
+from curveclass.errors import NonPrimeCharacteristic, ZeroPolynomial
 from curveclass.gf import (
     NEG_INF,
     Extension,
@@ -27,6 +27,7 @@ from curveclass.gf import (
     is_prime,
     mobius,
     monic_polys,
+    poly_extgcd,
     prime_factors,
     primitive_modulus,
     squarefree,
@@ -735,6 +736,10 @@ def test_gcd_and_squarefree():
     assert g.degree == 1
     assert not squarefree(f)
     assert squarefree(x * (x + one))
+    assert squarefree(one)
+    zero = Poly(k)
+    assert poly_gcd(zero, zero) == zero
+    assert poly_extgcd(zero, zero) == (zero, one, zero)
 
 
 def test_irreducibles_lex_and_necklace():
@@ -966,3 +971,28 @@ def test_neg_inf_is_below_every_integer():
     assert NEG_INF == NEG_INF and NEG_INF <= NEG_INF and NEG_INF >= NEG_INF
     assert not NEG_INF < NEG_INF and not NEG_INF > NEG_INF
     assert Poly(field_create(3, 1)).degree is NEG_INF
+    assert repr(NEG_INF) == "-inf"
+
+
+F9 = field_create(3, 2)
+ZERO5 = Poly(field_create(5, 1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: F9.element_from_json(9), CurveClassError, "element index 9 out of range"),
+        (lambda: F9.element_from_json([0, 1, 2]), CurveClassError,
+         "digit list longer than extension degree"),
+        (lambda: ZERO5.leading(), ZeroPolynomial, "no leading coefficient"),
+        (lambda: ZERO5.monic(), ZeroPolynomial, "cannot normalize the zero polynomial"),
+        (lambda: squarefree(ZERO5), ZeroPolynomial, "squarefree test on the zero polynomial"),
+        (lambda: divmod(x_poly(ZERO5.field), ZERO5), ZeroDivisionError,
+         "polynomial division by zero"),
+    ],
+    ids=["index-out-of-range", "too-many-digits", "leading-of-zero", "monic-of-zero",
+         "squarefree-of-zero", "division-by-zero"],
+)
+def test_bad_element_and_polynomial_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -60,6 +60,8 @@ def test_coinvariants_sign():
     co = coinvariants(sign_module())
     assert co.free_rank == 0
     assert co.torsion.invariant_factors == (2,)
+    assert co.to_json() == {"free_rank": 0,
+                            "torsion": {"invariant_factors": [2], "order": 2}}
 
 
 def test_invariants_rank_examples():
@@ -137,3 +139,21 @@ def test_gmodule_json_round_trip():
 def test_rank_cap():
     with pytest.raises(CurveClassError):
         GModule(17, [])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GModule(2, [[[1, 0, 0], [0, 1, 0]]]), "generator is not a 2x2 matrix"),
+        (lambda: closure([]), "closure needs at least one generator"),
+        (lambda: GModule(0, []), "rank must be a positive integer"),
+        (lambda: GModule.from_json([2, []]), "GModule description must be an object"),
+        (lambda: GModule.from_json({"rank": "two"}), "bad GModule description"),
+        (lambda: invcoinv_dims([[1]], 4), "p must be prime"),
+    ],
+    ids=["non-square-generator", "no-generators", "rank-0", "not-an-object", "bad-rank",
+         "composite-p"],
+)
+def test_bad_gmodule_input_is_refused(call, message):
+    with pytest.raises(CurveClassError, match=message):
+        call()

@@ -101,6 +101,11 @@ def test_qsqrtvalue_add_exact():
     assert (z.a, z.b, z.q) == (Fraction(1), Fraction(1), 5)
 
 
+def test_values_over_different_q_do_not_add():
+    with pytest.raises(CurveClassError, match="cannot add values over different q"):
+        QSqrtValue(1, 1, 5) + QSqrtValue(1, 1, 7)
+
+
 def _reference_sign(a, b, q, root):
     # the sign of a + b sqrt(q) against a^2 and b^2 q, or with the integer
     # root when q is a square

@@ -12,7 +12,8 @@ from curveclass import (
     l_polynomial,
 )
 from curveclass import jacobian as jacobian_mod
-from curveclass.gf import Extension, Poly, monic_polys, prime_factors
+from curveclass.curve import Curve, DoubleCover
+from curveclass.gf import Extension, Poly, field_create, monic_polys, prime_factors
 from curveclass.jacobian import _crt_step, _sqrt_mod_prime_power, p_sylow_rank, p_torsion_dim
 from util import (
     E_33_F7,
@@ -24,6 +25,22 @@ from util import (
     G2_X5PX,
     build,
 )
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ("plane quartic", "no oracle for 'plane quartic'"),
+        (DoubleCover(field_create(7, 1), Poly(field_create(7, 1), E_9_F7),
+                     Poly(field_create(7, 1), (0, 1))),
+         r"oracle needs a completed square \(h = 0\)"),
+    ],
+    ids=["not-a-double-cover", "odd-characteristic-h"],
+)
+def test_oracle_gate_refuses_models_it_cannot_walk(model, message):
+    # validate refuses both models, so the curves are built by hand
+    with pytest.raises(OracleUnsupportedModel, match=message):
+        jacobian_mod.oracle_gate(Curve(model, 1, ()))
 
 
 def test_projective_line_trivial():
@@ -409,3 +426,14 @@ def test_json_key_order():
     s = jacobian_group(build(3, f=E_Z4_F3))
     assert list(s.to_json()) == ["invariant_factors", "order"]
     assert s.to_json() == {"invariant_factors": [4], "order": 4}
+
+
+def test_a_collapsed_scalar_is_caught(monkeypatch):
+    # l*x = 0 for every x passes every torsion-profile check, as the group
+    # would then be (Z/3)^2 of order 9; the Z/9 curve has elements of order 9
+    def collapsed(n, D, f, g, identity):
+        return identity
+
+    monkeypatch.setattr(jacobian_mod, "_scalar", collapsed)
+    with pytest.raises(CurveClassError, match="internal: l\\*x is not x composed l times"):
+        jacobian_group(build(7, f=E_9_F7))

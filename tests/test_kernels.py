@@ -9,6 +9,7 @@ import pytest
 from curveclass import counting
 from curveclass.counting import BLOCK, affine_count, backend_name
 from curveclass.curve import irreducibles
+from curveclass.errors import CurveClassError
 from curveclass.gf import Poly, field_create
 from util import mul_digits
 
@@ -112,6 +113,11 @@ def test_zero_constant_terms():
 
 def test_backend_reports_name():
     assert backend_name() == "exp-log-tables"
+
+
+def test_count_refuses_a_field_of_another_size():
+    with pytest.raises(CurveClassError, match="field F_49 is not F_7\\^1"):
+        affine_count(7, 1, field_create(7, 2), [1], [], ([0], [1]))
 
 
 def test_known_counts():

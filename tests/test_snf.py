@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+from curveclass.errors import CurveClassError
 from curveclass.snf import (
+    _verify_snf,
     column_lattice_basis,
     diagonal_of,
     identity_matrix,
@@ -9,6 +13,9 @@ from curveclass.snf import (
     mat_rank,
     smith_normal_form,
 )
+
+
+I2 = identity_matrix(2)
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -84,3 +91,34 @@ def test_column_lattice_basis_preserves_lattice():
         nz1 = [d for d in diagonal_of(d1) if d != 0]
         nz2 = [d for d in diagonal_of(d2) if d != 0]
         assert nz1 == nz2
+
+
+@pytest.mark.parametrize(
+    "A, U, D, V, message",
+    [
+        ([[1]], [[1]], [[2]], [[1]], r"U\*A\*V != D"),
+        ([[1]], [[2]], [[2]], [[1]], "U not unimodular"),
+        ([[1]], [[1]], [[3]], [[3]], "V not unimodular"),
+        ([[1, 1], [0, 1]], I2, [[1, 1], [0, 1]], I2, "D not diagonal"),
+        ([[2, 0], [0, 3]], I2, [[2, 0], [0, 3]], I2, "divisibility chain broken"),
+        ([[0, 0], [0, 1]], I2, [[0, 0], [0, 1]], I2, "zero before nonzero diagonal"),
+    ],
+)
+def test_snf_self_checks_fire(A, U, D, V, message):
+    with pytest.raises(CurveClassError, match="SNF self-check failed: " + message):
+        _verify_snf(A, U, D, V)
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: mat_det([]), 1),
+        (lambda: mat_rank([]), 0),
+        (lambda: mat_rank([[]]), 0),
+        (lambda: column_lattice_basis([]), []),
+        (lambda: diagonal_of(smith_normal_form([[2, 4], [1, 2]])[1]), [1, 0]),
+    ],
+    ids=["det", "rank-no-rows", "rank-no-columns", "lattice-basis", "snf-rank-1"],
+)
+def test_empty_and_singular_matrices(call, want):
+    assert call() == want
